@@ -8,6 +8,7 @@ package tsexplain_test
 // exercising every experiment code path.
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -253,8 +254,8 @@ func BenchmarkPrecomputeLiquorParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPrecomputeKernel pits the columnar integer-keyed group-by
-// kernel against the legacy string-keyed one on the liquor rows.
+// BenchmarkPrecomputeKernel measures the columnar integer-keyed group-by
+// kernel on the liquor rows.
 func BenchmarkPrecomputeKernel(b *testing.B) {
 	d := datasets.Liquor()
 	var dims []int
@@ -269,17 +270,32 @@ func BenchmarkPrecomputeKernel(b *testing.B) {
 			d.Rel.GroupBySeriesColumnar(dims, d.Rel.MeasureIndex(d.Measure))
 		}
 	})
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d.Rel.GroupBySeries(dims, d.Rel.MeasureIndex(d.Measure))
-		}
-	})
 }
 
 // BenchmarkLiquorEndToEnd runs the full optimized pipeline on liquor,
 // the precompute-dominated end-to-end workload of Figure 15.
 func BenchmarkLiquorEndToEnd(b *testing.B) {
 	runDatasetBench(b, datasets.Liquor(), true)
+}
+
+// BenchmarkLiquorReadCSV measures the layer a cold answer starts with:
+// parsing the liquor dataset's catalog CSV (22 MB, 402k rows) into a
+// relation.
+func BenchmarkLiquorReadCSV(b *testing.B) {
+	d := datasets.Liquor()
+	var buf bytes.Buffer
+	if err := relation.WriteCSV(&buf, d.Rel); err != nil {
+		b.Fatal(err)
+	}
+	spec := relation.CSVSpec{
+		Name: d.Name, TimeCol: d.Rel.TimeName(), DimCols: d.Rel.DimNames(), MeasCols: d.Rel.MeasureNames(),
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := relation.ReadCSV(bytes.NewReader(buf.Bytes()), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func liquorUniverse(b *testing.B) *explain.Universe {

@@ -116,63 +116,3 @@ func Values(f AggFunc, sc []SumCount) []float64 {
 	}
 	return out
 }
-
-// GroupBySeries computes, for every distinct combination of the given
-// dimensions that occurs in r, the decomposed per-timestamp aggregate of
-// measure m. Keys are dictionary-id tuples encoded with groupKey. It is
-// the core group-by kernel used by candidate enumeration.
-func (r *Relation) GroupBySeries(dims []int, m int) map[string][]SumCount {
-	out := make(map[string][]SumCount)
-	vals := r.measures[m].vals
-	T := r.NumTimestamps()
-	ids := make([]uint32, len(dims))
-	buf := make([]byte, 0, len(dims)*8)
-	for row := 0; row < r.numRows; row++ {
-		for i, d := range dims {
-			ids[i] = r.DimID(d, row)
-		}
-		// out[string(buf)] compiles to a map lookup without materializing
-		// the string, so the steady state (key already present) does not
-		// allocate; only the first row of each distinct group pays for the
-		// key string and the series.
-		buf = appendGroupKey(buf[:0], dims, ids)
-		sc, ok := out[string(buf)]
-		if !ok {
-			sc = make([]SumCount, T)
-			out[string(buf)] = sc
-		}
-		t := r.timeIdx[row]
-		sc[t].Sum += vals[row]
-		sc[t].Count++
-	}
-	return out
-}
-
-// groupKey encodes a (dims, ids) tuple as a compact byte-string key.
-func groupKey(dims []int, ids []uint32) string {
-	return string(appendGroupKey(make([]byte, 0, len(dims)*8), dims, ids))
-}
-
-// appendGroupKey appends the groupKey encoding of (dims, ids) to buf and
-// returns the extended slice. Callers that reuse buf avoid allocating on
-// every encode.
-func appendGroupKey(buf []byte, dims []int, ids []uint32) []byte {
-	for i := range dims {
-		d, v := dims[i], ids[i]
-		buf = append(buf,
-			byte(d), byte(d>>8),
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return buf
-}
-
-// DecodeGroupKey decodes a key produced by groupKey back into parallel
-// dimension-index and dictionary-id slices.
-func DecodeGroupKey(key string) (dims []int, ids []uint32) {
-	b := []byte(key)
-	for i := 0; i+6 <= len(b); i += 6 {
-		dims = append(dims, int(b[i])|int(b[i+1])<<8)
-		ids = append(ids, uint32(b[i+2])|uint32(b[i+3])<<8|uint32(b[i+4])<<16|uint32(b[i+5])<<24)
-	}
-	return dims, ids
-}

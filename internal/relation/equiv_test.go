@@ -1,9 +1,9 @@
 package relation_test
 
 // Dataset-scale equivalence: the columnar integer-keyed kernel and the
-// legacy string-keyed GroupBySeries must produce identical groups and
-// identical series on the synth corpus and the liquor dataset, for every
-// explain-by subset the engine enumerates.
+// naive row-by-row group-by must produce identical groups and identical
+// series on the synth corpus and the liquor dataset, for every explain-by
+// subset the engine enumerates.
 
 import (
 	"testing"
@@ -15,29 +15,21 @@ import (
 
 func checkKernelEquivalence(t *testing.T, name string, r *relation.Relation, dims []int) {
 	t.Helper()
-	legacy := r.GroupBySeries(dims, 0)
+	naive := relation.NaiveGroupBy(r, dims, 0)
 	col := r.GroupBySeriesColumnar(dims, 0)
-	if got, want := col.NumGroups(), len(legacy); got != want {
-		t.Fatalf("%s dims %v: columnar %d groups, legacy %d", name, dims, got, want)
+	if got, want := col.NumGroups(), len(naive); got != want {
+		t.Fatalf("%s dims %v: columnar %d groups, naive %d", name, dims, got, want)
 	}
 	for g := 0; g < col.NumGroups(); g++ {
 		ids := col.GroupIDs(g)
-		// Rebuild the legacy key from the columnar group's id tuple.
-		key := make([]byte, 0, len(dims)*6)
-		for i := range dims {
-			d, v := dims[i], ids[i]
-			key = append(key,
-				byte(d), byte(d>>8),
-				byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		want, ok := legacy[string(key)]
+		want, ok := naive[relation.TupleKey(ids)]
 		if !ok {
-			t.Fatalf("%s dims %v: columnar group %v not found by legacy kernel", name, dims, ids)
+			t.Fatalf("%s dims %v: columnar group %v not found by the naive group-by", name, dims, ids)
 		}
 		got := col.Series(g)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s dims %v group %v t=%d: columnar %+v, legacy %+v",
+				t.Fatalf("%s dims %v group %v t=%d: columnar %+v, naive %+v",
 					name, dims, ids, i, got[i], want[i])
 			}
 		}

@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// This file implements the columnar, integer-keyed group-by kernel that
-// replaced the string-keyed GroupBySeries on the precompute hot path.
+// This file implements the columnar, integer-keyed group-by kernel of the
+// precompute path.
 //
 // The kernel runs in two passes. Pass 1 (PlanGroupBy) scans the rows once,
 // packs each row's dictionary-id tuple over the requested dimensions into a
@@ -182,8 +182,7 @@ func (r *Relation) planGroupBy(dims []int, m int, forceFallback bool) *GroupByPl
 
 	// Sort groups by id tuple so downstream candidate IDs are assigned
 	// deterministically regardless of row order or parallelism. An empty
-	// dims list degenerates to at most one grand-total group, matching
-	// the legacy kernel's single ""-keyed group.
+	// dims list degenerates to at most one grand-total group.
 	n := p.n
 	order := make([]int32, n)
 	for i := range order {

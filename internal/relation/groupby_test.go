@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 func buildGroupByRel(t *testing.T) *Relation {
 	t.Helper()
@@ -25,19 +28,53 @@ func buildGroupByRel(t *testing.T) *Relation {
 	return r
 }
 
-func TestColumnarGroupByMatchesLegacy(t *testing.T) {
+// NaiveGroupBy is the reference the columnar kernel is checked against:
+// row by row, every distinct dictionary-id tuple of dims gets its own
+// per-timestamp (sum, count) series of measure m, keyed by TupleKey. It is
+// exported for the dataset-scale checks in package relation_test.
+func NaiveGroupBy(r *Relation, dims []int, m int) map[string][]SumCount {
+	out := make(map[string][]SumCount)
+	ids := make([]uint32, len(dims))
+	var key []byte
+	for row := 0; row < r.NumRows(); row++ {
+		for i, d := range dims {
+			ids[i] = r.DimID(d, row)
+		}
+		key = appendTupleKey(key[:0], ids)
+		sc, ok := out[string(key)]
+		if !ok {
+			sc = make([]SumCount, r.NumTimestamps())
+			out[string(key)] = sc
+		}
+		t := r.TimeIndex(row)
+		sc[t].Sum += r.MeasureValue(m, row)
+		sc[t].Count++
+	}
+	return out
+}
+
+// TupleKey is NaiveGroupBy's key of a dictionary-id tuple.
+func TupleKey(ids []uint32) string { return string(appendTupleKey(nil, ids)) }
+
+func appendTupleKey(buf []byte, ids []uint32) []byte {
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint32(buf, id)
+	}
+	return buf
+}
+
+func TestColumnarGroupByMatchesNaive(t *testing.T) {
 	r := buildGroupByRel(t)
 	for _, dims := range [][]int{{0}, {1}, {0, 1}} {
-		legacy := r.GroupBySeries(dims, 0)
+		naive := NaiveGroupBy(r, dims, 0)
 		col := r.GroupBySeriesColumnar(dims, 0)
-		if got, want := col.NumGroups(), len(legacy); got != want {
+		if got, want := col.NumGroups(), len(naive); got != want {
 			t.Fatalf("dims %v: %d groups, want %d", dims, got, want)
 		}
 		for g := 0; g < col.NumGroups(); g++ {
-			key := groupKey(dims, col.GroupIDs(g))
-			want, ok := legacy[key]
+			want, ok := naive[TupleKey(col.GroupIDs(g))]
 			if !ok {
-				t.Fatalf("dims %v: columnar group %v missing from legacy", dims, col.GroupIDs(g))
+				t.Fatalf("dims %v: columnar group %v missing from the naive group-by", dims, col.GroupIDs(g))
 			}
 			series := col.Series(g)
 			for i := range want {
@@ -129,59 +166,23 @@ func TestGroupByFallbackPath(t *testing.T) {
 }
 
 // TestGroupByEmptyDims: no grouped dimensions degenerates to the single
-// grand-total group, matching the legacy kernel's one ""-keyed group.
+// grand-total group, the naive group-by's one empty-tuple group.
 func TestGroupByEmptyDims(t *testing.T) {
 	r := buildGroupByRel(t)
-	legacy := r.GroupBySeries(nil, 0)
+	naive := NaiveGroupBy(r, nil, 0)
 	col := r.GroupBySeriesColumnar(nil, 0)
-	if len(legacy) != 1 || col.NumGroups() != 1 {
-		t.Fatalf("grand total: legacy %d groups, columnar %d, want 1 and 1",
-			len(legacy), col.NumGroups())
+	if len(naive) != 1 || col.NumGroups() != 1 {
+		t.Fatalf("grand total: naive %d groups, columnar %d, want 1 and 1",
+			len(naive), col.NumGroups())
 	}
 	if got := col.GroupIDs(0); len(got) != 0 {
 		t.Fatalf("grand-total group ids = %v, want empty", got)
 	}
-	want := legacy[""]
+	want := naive[TupleKey(nil)]
 	for i := range want {
 		if col.Series(0)[i] != want[i] {
 			t.Fatalf("grand total t=%d: %+v, want %+v", i, col.Series(0)[i], want[i])
 		}
-	}
-}
-
-// TestGroupBySeriesSteadyStateAllocs proves the legacy fallback kernel no
-// longer allocates per row: doubling the row count (same groups) must not
-// change the allocation count, which stays proportional to the number of
-// distinct groups only.
-func TestGroupBySeriesSteadyStateAllocs(t *testing.T) {
-	build := func(reps int) *Relation {
-		b := NewBuilder("g", "d", []string{"s", "c"}, []string{"m"})
-		for rep := 0; rep < reps; rep++ {
-			for _, row := range []struct {
-				d, s, c string
-				m       float64
-			}{
-				{"1", "a", "x", 1}, {"1", "b", "y", 2},
-				{"2", "a", "x", 3}, {"2", "b", "y", 4},
-			} {
-				if err := b.Append(row.d, []string{row.s, row.c}, []float64{row.m}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		r, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	small, large := build(50), build(100)
-	dims := []int{0, 1}
-	allocsSmall := testing.AllocsPerRun(20, func() { small.GroupBySeries(dims, 0) })
-	allocsLarge := testing.AllocsPerRun(20, func() { large.GroupBySeries(dims, 0) })
-	if allocsLarge != allocsSmall {
-		t.Fatalf("GroupBySeries allocs scale with rows: %v allocs at 200 rows vs %v at 400",
-			allocsSmall, allocsLarge)
 	}
 }
 

@@ -184,20 +184,9 @@ func (r *Relation) DeriveHierarchyFromPath(name, srcDim, delim string, levels []
 	// like every other construction path) without touching r yet.
 	cols := make([]*DimColumn, len(levels))
 	for l := range levels {
-		col := &DimColumn{
-			name:  levels[l],
-			ids:   make([]uint32, r.numRows),
-			index: make(map[string]uint32),
-		}
-		for row := 0; row < r.numRows; row++ {
-			v := parts[srcCol.ids[row]][l]
-			id, ok := col.index[v]
-			if !ok {
-				id = uint32(len(col.dict))
-				col.dict = append(col.dict, v)
-				col.index[v] = id
-			}
-			col.ids[row] = id
+		col := newDimColumn(levels[l], r.numRows)
+		for _, src := range srcCol.ids {
+			col.ids = append(col.ids, col.intern(parts[src][l]))
 		}
 		cols[l] = col
 	}

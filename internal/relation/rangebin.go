@@ -141,20 +141,9 @@ func (r *Relation) AddRangeBin(as, measure string, bins int) error {
 	}
 	vals := r.measures[mi].vals
 	edges := EquiDepthEdges(vals, bins)
-	col := &DimColumn{
-		name:  as,
-		ids:   make([]uint32, r.numRows),
-		index: make(map[string]uint32),
-	}
-	for row := 0; row < r.numRows; row++ {
-		v := BinLabel(edges, AssignBin(edges, vals[row]))
-		id, ok := col.index[v]
-		if !ok {
-			id = uint32(len(col.dict))
-			col.dict = append(col.dict, v)
-			col.index[v] = id
-		}
-		col.ids[row] = id
+	col := newDimColumn(as, r.numRows)
+	for _, v := range vals {
+		col.ids = append(col.ids, col.intern(BinLabel(edges, AssignBin(edges, v))))
 	}
 	r.dimByName[as] = len(r.dims)
 	r.dims = append(r.dims, col)

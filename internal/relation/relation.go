@@ -51,6 +51,32 @@ func (c *DimColumn) Values() []string {
 	return out
 }
 
+// newDimColumn returns an empty column with n rows of id capacity.
+func newDimColumn(name string, n int) *DimColumn {
+	return &DimColumn{name: name, ids: make([]uint32, 0, n), index: make(map[string]uint32)}
+}
+
+// intern returns the dictionary id of v, adding v as the next id when the
+// column has not seen it: dictionaries stay in first-appearance order.
+func (c *DimColumn) intern(v string) uint32 {
+	if id, ok := c.index[v]; ok {
+		return id
+	}
+	id := uint32(len(c.dict))
+	c.dict = append(c.dict, v)
+	c.index[v] = id
+	return id
+}
+
+// internBytes is intern for a value that lives in a reused read buffer.
+// The lookup does not allocate; only a value new to the column is copied.
+func (c *DimColumn) internBytes(v []byte) uint32 {
+	if id, ok := c.index[string(v)]; ok {
+		return id
+	}
+	return c.intern(string(v))
+}
+
 // MeasureColumn is a numeric column.
 type MeasureColumn struct {
 	name string
@@ -175,14 +201,18 @@ func (r *Relation) MeasureValue(m, row int) float64 { return r.measures[m].vals[
 
 // Builder incrementally assembles a Relation. Append rows with Append and
 // call Finish once; the Builder must not be reused afterwards.
+//
+// Rows are dictionary-encoded as they arrive. Time labels are interned in
+// first-appearance order too, and Finish remaps the per-row ids to series
+// order in one pass once every label is known.
 type Builder struct {
 	name         string
 	timeName     string
-	dimNames     []string
 	measureNames []string
 
-	timeVals []string
-	dims     [][]string
+	times    *DimColumn // time-label dictionary; its ids stay unused
+	timeIdx  []int32    // per-row time-label id, first-appearance order until Finish
+	dims     []*DimColumn
 	measures [][]float64
 
 	timeOrder []string // optional explicit ordering of time labels
@@ -195,10 +225,13 @@ func NewBuilder(name, timeName string, dimNames, measureNames []string) *Builder
 	b := &Builder{
 		name:         name,
 		timeName:     timeName,
-		dimNames:     append([]string(nil), dimNames...),
 		measureNames: append([]string(nil), measureNames...),
+		times:        newDimColumn(timeName, 0),
 	}
-	b.dims = make([][]string, len(dimNames))
+	b.dims = make([]*DimColumn, len(dimNames))
+	for i, d := range dimNames {
+		b.dims[i] = newDimColumn(d, 0)
+	}
 	b.measures = make([][]float64, len(measureNames))
 	return b
 }
@@ -214,15 +247,20 @@ func (b *Builder) SetTimeOrder(labels []string) {
 // Append adds one row. dims and measures must match the lengths declared
 // in NewBuilder.
 func (b *Builder) Append(timeVal string, dims []string, measures []float64) error {
+	if b.finished {
+		// The relation Finish returned owns the columns now.
+		return fmt.Errorf("relation: Builder.Append after Finish")
+	}
 	if len(dims) != len(b.dims) {
 		return fmt.Errorf("relation: row has %d dimension values, want %d", len(dims), len(b.dims))
 	}
 	if len(measures) != len(b.measures) {
 		return fmt.Errorf("relation: row has %d measure values, want %d", len(measures), len(b.measures))
 	}
-	b.timeVals = append(b.timeVals, timeVal)
+	b.timeIdx = append(b.timeIdx, int32(b.times.intern(timeVal)))
 	for i, v := range dims {
-		b.dims[i] = append(b.dims[i], v)
+		col := b.dims[i]
+		col.ids = append(col.ids, col.intern(v))
 	}
 	for i, v := range measures {
 		b.measures[i] = append(b.measures[i], v)
@@ -230,76 +268,76 @@ func (b *Builder) Append(timeVal string, dims []string, measures []float64) erro
 	return nil
 }
 
-// Finish builds the Relation. It dictionary-encodes dimensions and
-// resolves the time ordering.
+// appendRecord is Append for one parsed CSV record whose fields alias the
+// reader's buffer: timeAt and dimAt index rec, meas holds the parsed
+// measures. Arity is the reader's to check.
+func (b *Builder) appendRecord(rec [][]byte, timeAt int, dimAt []int, meas []float64) {
+	b.timeIdx = append(b.timeIdx, int32(b.times.internBytes(rec[timeAt])))
+	for i, at := range dimAt {
+		col := b.dims[i]
+		col.ids = append(col.ids, col.internBytes(rec[at]))
+	}
+	for i, v := range meas {
+		b.measures[i] = append(b.measures[i], v)
+	}
+}
+
+// Finish builds the Relation: it resolves the series order of the time
+// labels and remaps every row's time id to it.
 func (b *Builder) Finish() (*Relation, error) {
 	if b.finished {
 		return nil, fmt.Errorf("relation: Builder.Finish called twice")
 	}
 	b.finished = true
-	n := len(b.timeVals)
 
 	r := &Relation{
 		name:          b.name,
-		numRows:       n,
+		numRows:       len(b.timeIdx),
 		timeName:      b.timeName,
-		dimByName:     make(map[string]int, len(b.dimNames)),
+		dimByName:     make(map[string]int, len(b.dims)),
 		measureByName: make(map[string]int, len(b.measureNames)),
 	}
 
-	// Resolve time labels and per-row time indexes.
-	labelPos := make(map[string]int32)
+	// remap[id] is the series position of the label with first-appearance
+	// id; unknown labels are reported in first-appearance order, which is
+	// the order of the rows that carry them.
+	labels := b.times.dict
+	remap := make([]int32, len(labels))
 	if b.timeOrder != nil {
-		r.timeLabels = b.timeOrder
+		pos := make(map[string]int32, len(b.timeOrder))
 		for i, l := range b.timeOrder {
-			if _, dup := labelPos[l]; dup {
+			if _, dup := pos[l]; dup {
 				return nil, fmt.Errorf("relation: duplicate time label %q in explicit order", l)
 			}
-			labelPos[l] = int32(i)
+			pos[l] = int32(i)
 		}
-	} else {
-		seen := make(map[string]bool)
-		for _, v := range b.timeVals {
-			if !seen[v] {
-				seen[v] = true
-				r.timeLabels = append(r.timeLabels, v)
-			}
-		}
-		sort.Strings(r.timeLabels)
-		for i, l := range r.timeLabels {
-			labelPos[l] = int32(i)
-		}
-	}
-	r.timePos = labelPos
-	r.timeIdx = make([]int32, n)
-	for i, v := range b.timeVals {
-		pos, ok := labelPos[v]
-		if !ok {
-			return nil, fmt.Errorf("relation: time value %q not in explicit time order", v)
-		}
-		r.timeIdx[i] = pos
-	}
-
-	// Dictionary-encode dimensions.
-	for di, name := range b.dimNames {
-		if _, dup := r.dimByName[name]; dup {
-			return nil, fmt.Errorf("relation: duplicate dimension name %q", name)
-		}
-		col := &DimColumn{
-			name:  name,
-			ids:   make([]uint32, n),
-			index: make(map[string]uint32),
-		}
-		for ri, v := range b.dims[di] {
-			id, ok := col.index[v]
+		for id, l := range labels {
+			p, ok := pos[l]
 			if !ok {
-				id = uint32(len(col.dict))
-				col.dict = append(col.dict, v)
-				col.index[v] = id
+				return nil, fmt.Errorf("relation: time value %q not in explicit time order", l)
 			}
-			col.ids[ri] = id
+			remap[id] = p
 		}
-		r.dimByName[name] = di
+		r.timeLabels, r.timePos = b.timeOrder, pos
+	} else {
+		sort.Strings(labels)
+		pos := make(map[string]int32, len(labels))
+		for i, l := range labels {
+			pos[l] = int32(i)
+			remap[b.times.index[l]] = int32(i)
+		}
+		r.timeLabels, r.timePos = labels, pos
+	}
+	for i, id := range b.timeIdx {
+		b.timeIdx[i] = remap[id]
+	}
+	r.timeIdx = b.timeIdx
+
+	for di, col := range b.dims {
+		if _, dup := r.dimByName[col.name]; dup {
+			return nil, fmt.Errorf("relation: duplicate dimension name %q", col.name)
+		}
+		r.dimByName[col.name] = di
 		r.dims = append(r.dims, col)
 	}
 
@@ -408,14 +446,7 @@ func (r *Relation) AppendRows(timeVals []string, dims [][]string, measures [][]f
 		pos, _ := r.timePosition(timeVals[i])
 		r.timeIdx = append(r.timeIdx, pos)
 		for di, col := range r.dims {
-			v := dims[i][di]
-			id, ok := col.index[v]
-			if !ok {
-				id = uint32(len(col.dict))
-				col.dict = append(col.dict, v)
-				col.index[v] = id
-			}
-			col.ids = append(col.ids, id)
+			col.ids = append(col.ids, col.intern(dims[i][di]))
 		}
 		for mi, col := range r.measures {
 			col.vals = append(col.vals, measures[i][mi])

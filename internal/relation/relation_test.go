@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // buildSales builds a small liquor-style relation used across tests:
@@ -93,6 +92,9 @@ func TestBuilderFinishTwice(t *testing.T) {
 	}
 	if _, err := b.Finish(); err == nil {
 		t.Error("second Finish: want error, got nil")
+	}
+	if err := b.Append("1", nil, nil); err == nil {
+		t.Error("Append after Finish: want error, got nil")
 	}
 }
 
@@ -331,61 +333,6 @@ func TestFilter(t *testing.T) {
 		if sc[i].Sum != wantSum[i] {
 			t.Errorf("wine day %d sum = %g, want %g", i, sc[i].Sum, wantSum[i])
 		}
-	}
-}
-
-func TestGroupBySeries(t *testing.T) {
-	r := buildSales(t)
-	groups := r.GroupBySeries([]int{0}, 0) // by state
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
-	}
-	for key, sc := range groups {
-		dims, ids := DecodeGroupKey(key)
-		if len(dims) != 1 || dims[0] != 0 {
-			t.Fatalf("bad key decode: dims=%v", dims)
-		}
-		state := r.Dim(0).Value(ids[0])
-		var total float64
-		for _, s := range sc {
-			total += s.Sum
-		}
-		switch state {
-		case "NY":
-			if total != 33 {
-				t.Errorf("NY total = %g, want 33", total)
-			}
-		case "CA":
-			if total != 23 {
-				t.Errorf("CA total = %g, want 23", total)
-			}
-		default:
-			t.Errorf("unexpected state %q", state)
-		}
-	}
-}
-
-func TestGroupKeyRoundTrip(t *testing.T) {
-	f := func(rawDims []uint8, rawIDs []uint32) bool {
-		n := len(rawDims)
-		if len(rawIDs) < n {
-			n = len(rawIDs)
-		}
-		dims := make([]int, n)
-		ids := make([]uint32, n)
-		for i := 0; i < n; i++ {
-			dims[i] = int(rawDims[i])
-			ids[i] = rawIDs[i]
-		}
-		key := groupKey(dims, ids)
-		gotDims, gotIDs := DecodeGroupKey(key)
-		if n == 0 {
-			return len(gotDims) == 0 && len(gotIDs) == 0
-		}
-		return reflect.DeepEqual(gotDims, dims) && reflect.DeepEqual(gotIDs, ids)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

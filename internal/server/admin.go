@@ -37,6 +37,12 @@ const uploadLimitBytes = 256 << 20
 // appendLimitBytes bounds one NDJSON append batch.
 const appendLimitBytes = 64 << 20
 
+// The 413 messages for bodies over those limits (see overLimitErr).
+const (
+	uploadTooBig = "upload exceeds %d bytes"
+	appendTooBig = "append body exceeds %d bytes; split the batch"
+)
+
 // errNoCatalog is returned by the admin endpoints on a server running
 // without -data-dir.
 func errNoCatalog() error {
@@ -46,9 +52,10 @@ func errNoCatalog() error {
 // handleDatasetUpload serves POST /api/datasets: a multipart form with a
 // "manifest" part (the catalog.Manifest JSON) and a "csv" part (the data,
 // header row required). The CSV is parsed through the manifest before
-// anything is written — a bad upload fails with 400 and leaves no trace —
-// and the dataset is written atomically, published to the registry, and
-// snapshotted in the background.
+// anything is written — a bad upload fails with 400, one over the size cap
+// with 413, and either leaves no trace — and the dataset is written
+// atomically, published to the registry, and snapshotted in the
+// background.
 func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	if s.reg.cat == nil {
 		writeError(w, errNoCatalog())
@@ -70,7 +77,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			writeError(w, httpErrf(http.StatusBadRequest, "reading upload: %v", err))
+			writeError(w, uploadErr(fmt.Errorf("reading upload: %w", err)))
 			return
 		}
 		switch part.FormName() {
@@ -159,8 +166,14 @@ func readManifestPart(part *multipart.Part) (*catalog.Manifest, error) {
 	return &m, nil
 }
 
-// uploadErr maps catalog errors to their HTTP status.
+// uploadErr maps upload and catalog errors to their HTTP status. An upload
+// cut off by the size cap, between parts or inside the CSV part (whose
+// parser wraps the read error), carries an *http.MaxBytesError and
+// answers 413.
 func uploadErr(err error) error {
+	if tooBig := overLimitErr(err, uploadTooBig); tooBig != nil {
+		return tooBig
+	}
 	switch {
 	case errors.Is(err, catalog.ErrExists):
 		return httpErrf(http.StatusConflict, "%v", err)
@@ -295,13 +308,13 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// overLimitErr maps a MaxBytesReader overflow to its 413 response; nil
-// for any other (or no) error.
-func overLimitErr(err error) error {
+// overLimitErr maps a MaxBytesReader overflow anywhere in err's chain to
+// its 413 response, whose message is format applied to the byte limit;
+// nil for any other (or no) error.
+func overLimitErr(err error, format string) error {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		return httpErrf(http.StatusRequestEntityTooLarge,
-			"append body exceeds %d bytes; split the batch", mbe.Limit)
+		return httpErrf(http.StatusRequestEntityTooLarge, format, mbe.Limit)
 	}
 	return nil
 }
@@ -328,7 +341,7 @@ func parseAppendNDJSON(body io.Reader, m *catalog.Manifest) (timeVals []string, 
 			// read error, so an over-limit body surfaces here as a
 			// truncated last line — report the size limit, not a
 			// misleading parse error.
-			if tooBig := overLimitErr(sc.Err()); tooBig != nil {
+			if tooBig := overLimitErr(sc.Err(), appendTooBig); tooBig != nil {
 				return nil, nil, nil, tooBig
 			}
 			return nil, nil, nil, httpErrf(http.StatusBadRequest, "append line %d: %v", line, err)
@@ -374,7 +387,7 @@ func parseAppendNDJSON(body io.Reader, m *catalog.Manifest) (timeVals []string, 
 		measures = append(measures, mvs)
 	}
 	if err := sc.Err(); err != nil {
-		if tooBig := overLimitErr(err); tooBig != nil {
+		if tooBig := overLimitErr(err, appendTooBig); tooBig != nil {
 			return nil, nil, nil, tooBig
 		}
 		return nil, nil, nil, httpErrf(http.StatusBadRequest, "reading append body: %v", err)

@@ -3,13 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"mime/multipart"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // catalogTestCSV is a small dataset with a clear driver structure: NY
@@ -39,12 +44,17 @@ const catalogTestManifest = `{
   "maxOrder": 2
 }`
 
+// newCatalogServer opens a server over the catalog in dir and closes it
+// when the test ends. Cleanups run last-registered first, so Close, which
+// waits for background snapshot refreshes, finishes before a TempDir
+// created ahead of the server is removed.
 func newCatalogServer(t *testing.T, dir string) *Server {
 	t.Helper()
 	s, err := Open(Config{Shards: 2, WorkersPerShard: 2, QueueDepth: 8, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -477,5 +487,143 @@ func TestCatalogConcurrentUploadWhileExplaining(t *testing.T) {
 	}
 	if got := res.Segments[len(res.Segments)-1].End; got != "2021-03-19" {
 		t.Fatalf("final series ends at %q, want 2021-03-19", got)
+	}
+}
+
+// failingBody yields data, then err in place of io.EOF: a request body
+// cut off by a size cap looks like this to the handler.
+type failingBody struct {
+	data []byte
+	err  error
+}
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, b.err
+	}
+	n := copy(p, b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+func (b *failingBody) Close() error { return nil }
+
+// TestUploadOverLimitIs413: an upload cut off by the size cap answers 413
+// as API.md promises, whether the cap hits inside the CSV part (the error
+// comes back wrapped through catalog.Create and the CSV parser) or before
+// a part starts; a plain CSV error stays 400.
+func TestUploadOverLimitIs413(t *testing.T) {
+	tooBig := &http.MaxBytesError{Limit: uploadLimitBytes}
+	if got := errorCode(uploadErr(fmt.Errorf("relation: reading CSV: %w", tooBig))); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("uploadErr of a wrapped MaxBytesError = %d, want 413", got)
+	}
+	if got := errorCode(uploadErr(errors.New("relation: CSV has no time column"))); got != http.StatusBadRequest {
+		t.Fatalf("uploadErr of a CSV error = %d, want 400", got)
+	}
+
+	s := newCatalogServer(t, t.TempDir())
+	var head bytes.Buffer
+	mw := multipart.NewWriter(&head)
+	fw, err := mw.CreateFormField("manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write([]byte(catalogTestManifest)); err != nil {
+		t.Fatal(err)
+	}
+	cw, err := mw.CreateFormFile("csv", "data.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cw.Write([]byte(catalogTestCSV(12))); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"inside the csv part": head.Bytes(),
+		"before any part":     nil,
+	} {
+		req := httptest.NewRequest("POST", "/api/datasets", nil)
+		req.Body = &failingBody{data: body, err: tooBig}
+		req.Header.Set("Content-Type", mw.FormDataContentType())
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("upload over the cap %s: %d (%s), want 413", name, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := get(t, s, "/api/explain?dataset=mydata"); rec.Code != 404 {
+		t.Fatalf("a cut-off upload left a dataset behind: explain answered %d", rec.Code)
+	}
+}
+
+// gateWriter blocks the first log write that contains line until release
+// is closed, and reports that write on entered.
+type gateWriter struct {
+	line    string
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), g.line) {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return len(p), nil
+}
+
+// TestCloseWaitsForSnapshotRefresh: Close returns only after a running
+// background snapshot refresh has finished, and starts none afterwards, so
+// no refresh writes into the data directory once the server is closed.
+// The refresh is held at its last step (the log line after the save) by
+// a log writer that blocks.
+func TestCloseWaitsForSnapshotRefresh(t *testing.T) {
+	gate := &gateWriter{line: "refreshed in", entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(gate.release) })
+	log.SetOutput(gate)
+	defer log.SetOutput(os.Stderr)
+	defer release() // never leave the refresh blocked, or Close would wait forever
+
+	dir := t.TempDir()
+	s := newCatalogServer(t, dir)
+	if rec := upload(t, s, catalogTestManifest, catalogTestCSV(12), false); rec.Code != 201 {
+		t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the upload's snapshot refresh never ran")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a snapshot refresh was still running")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return after the refresh finished")
+	}
+
+	select {
+	case <-s.reg.refreshSnapshot("mydata"):
+	default:
+		t.Fatal("a snapshot refresh started after Close")
+	}
+	s.reg.refreshMu.Lock()
+	running := len(s.reg.refreshing)
+	s.reg.refreshMu.Unlock()
+	if running != 0 {
+		t.Fatalf("%d refreshes registered after Close, want 0", running)
 	}
 }

@@ -63,6 +63,7 @@ func TestEvictionConcurrentWithAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close() // waits for the appends' snapshot refreshes
 	if rec := upload(t, s, catalogTestManifest, catalogTestCSV(12), false); rec.Code != 201 {
 		t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
 	}
@@ -171,6 +172,7 @@ func TestEvictionConcurrentWithAppendMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close() // waits for the appends' snapshot refreshes
 	// wait=1 blocks until the upload's snapshot refresh lands, so the
 	// very first engine build already takes the snapshot-restore path.
 	if rec := upload(t, s, catalogTestManifest, catalogTestCSV(12), true); rec.Code != 201 {

@@ -217,6 +217,8 @@ func TestJobTTLGC(t *testing.T) {
 	}
 	pollJob(t, s, j.ID)
 
+	// The sweeper deletes the job's file before it counts the expiry, so
+	// the counter is polled under the same deadline as the 404.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if rec := get(t, s, "/api/jobs/"+j.ID); rec.Code == 404 {
@@ -227,7 +229,10 @@ func TestJobTTLGC(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := s.met.jobsExpired.Load(); got < 1 {
-		t.Errorf("jobs expired counter = %d, want >= 1", got)
+	for s.met.jobsExpired.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs expired counter = %d after the job's 404, want >= 1", s.met.jobsExpired.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -90,9 +90,13 @@ type registry struct {
 
 	// refreshing coalesces background snapshot refreshes: at most one
 	// refresh per dataset runs at a time, and a burst of appends queues a
-	// single re-run instead of a goroutine per append.
-	refreshMu  sync.Mutex
-	refreshing map[string]*refreshJob //tsexplain:guardedby refreshMu
+	// single re-run instead of a goroutine per append. refreshes counts the
+	// running refresh goroutines; once refreshClosed is set (by close) no
+	// refresh starts or re-runs, so close can wait for the last one.
+	refreshMu     sync.Mutex
+	refreshing    map[string]*refreshJob //tsexplain:guardedby refreshMu
+	refreshClosed bool                   //tsexplain:guardedby refreshMu
+	refreshes     sync.WaitGroup
 }
 
 // refreshJob is one dataset's in-flight snapshot refresh. queued marks a
@@ -1005,6 +1009,11 @@ func (g *registry) refreshSnapshot(name string) <-chan struct{} {
 		return done
 	}
 	g.refreshMu.Lock()
+	if g.refreshClosed {
+		g.refreshMu.Unlock()
+		close(done)
+		return done
+	}
 	if j, running := g.refreshing[name]; running {
 		j.queued = true
 		j.waiters = append(j.waiters, done)
@@ -1013,12 +1022,14 @@ func (g *registry) refreshSnapshot(name string) <-chan struct{} {
 	}
 	j := &refreshJob{waiters: []chan struct{}{done}}
 	g.refreshing[name] = j
+	g.refreshes.Add(1)
 	g.refreshMu.Unlock()
 	go func() {
+		defer g.refreshes.Done()
 		for {
 			g.snapshotNow(name)
 			g.refreshMu.Lock()
-			if j.queued {
+			if j.queued && !g.refreshClosed {
 				j.queued = false
 				g.refreshMu.Unlock()
 				continue
@@ -1033,6 +1044,16 @@ func (g *registry) refreshSnapshot(name string) <-chan struct{} {
 		}
 	}()
 	return done
+}
+
+// close stops snapshot refreshes: none starts or re-runs after it, and it
+// returns once the running ones have finished, so nothing writes into the
+// data directory afterwards.
+func (g *registry) close() {
+	g.refreshMu.Lock()
+	g.refreshClosed = true
+	g.refreshMu.Unlock()
+	g.refreshes.Wait()
 }
 
 // snapshotNow is the refresh body; failures are logged, never fatal —

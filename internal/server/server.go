@@ -213,14 +213,17 @@ func Open(cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the async-job workers and TTL sweeper, waiting for any
-// in-flight job to finish persisting its state. The HTTP handlers stay
-// usable (job submissions after Close fail with 503); call it when the
+// Close stops the async-job workers, the TTL sweeper and the background
+// snapshot refreshes, waiting for any in-flight job to finish persisting
+// its state and for any running refresh to finish its save. The HTTP
+// handlers stay usable (job submissions after Close fail with 503, and
+// uploads and appends no longer refresh snapshots); call it when the
 // process is shutting down.
 func (s *Server) Close() {
 	if s.jobs != nil {
 		s.jobs.close()
 	}
+	s.reg.close()
 }
 
 // handle registers an instrumented endpoint: per-request deadline,

@@ -140,7 +140,10 @@ func NewBuilder(name, timeName string, dimNames, measureNames []string) *Builder
 	return relation.NewBuilder(name, timeName, dimNames, measureNames)
 }
 
-// ReadCSV loads a relation from CSV data with a header row.
+// ReadCSV loads a relation from CSV data with a header row. It accepts
+// exactly what encoding/csv's Reader accepts at its defaults: comma
+// separators, quoted fields with "" escapes and embedded commas or
+// newlines, blank lines skipped, and every record as wide as the header.
 func ReadCSV(src io.Reader, spec CSVSpec) (*Relation, error) {
 	return relation.ReadCSV(src, spec)
 }
