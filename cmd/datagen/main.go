@@ -22,6 +22,13 @@
 // The optional -manifest file is a ready-to-upload catalog manifest
 // (POST /api/datasets) with approximate-mode defaults — and, for the
 // taxonomy scenario, the hierarchy and range-bin declarations — included.
+//
+// The paper's synthetic benchmark (Section 4.2.1: categories with
+// piecewise-linear trends and Gaussian noise) is generated with:
+//
+//	go run ./cmd/datagen -scenario synth -n 100 -seed 1 -snr 35 -categories 3 > synth.csv
+//
+// Every scenario prints its ground-truth cuts on stderr.
 package main
 
 import (
@@ -38,133 +45,140 @@ import (
 
 func main() {
 	name := flag.String("dataset", "covid", "covid, covid-daily, sp500, liquor, vax-deaths")
-	scenario := flag.String("scenario", "", "synthetic scenario instead of -dataset: highcard, taxonomy")
+	scenario := flag.String("scenario", "", "synthetic scenario instead of -dataset: highcard, taxonomy, synth")
 	users := flag.Int("users", 0, "highcard: user cardinality (0: generator default)")
 	regions := flag.Int("regions", 0, "highcard: region cardinality (0: generator default)")
 	scale := flag.Int("scale", 1, "highcard: multiply the user cardinality; rows and candidate conjunctions grow linearly (-scale 20 is ~1M rows and ~1M candidates at the defaults)")
 	cats := flag.Int("cats", 0, "taxonomy: category cardinality (0: generator default)")
 	subcats := flag.Int("subcats", 0, "taxonomy: subcategories per category (0: generator default)")
 	leaves := flag.Int("leaves", 0, "taxonomy: leaves per subcategory (0: generator default)")
+	snr := flag.Float64("snr", 35, "synth: noise level in dB (0 = clean)")
+	categories := flag.Int("categories", 0, "synth: number of categories (0: generator default, 3)")
 	n := flag.Int("n", 0, "scenario series length (0: generator default)")
 	seed := flag.Int64("seed", 42, "scenario generator seed")
-	manifest := flag.String("manifest", "", "scenario: also write a catalog manifest JSON to this path")
+	manifest := flag.String("manifest", "", "highcard, taxonomy: also write a catalog manifest JSON to this path")
 	flag.Parse()
 
+	var (
+		rel     *relation.Relation
+		m       *catalog.Manifest
+		summary string
+		err     error
+	)
 	switch *scenario {
 	case "":
+		d := builtin(*name)
+		if d == nil {
+			fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q\n", *name)
+			os.Exit(2)
+		}
+		rel = d.Rel
+		summary = fmt.Sprintf("dataset=%s rows=%d n=%d measure=%q explain-by=%v",
+			d.Name, d.Rel.NumRows(), d.Rel.NumTimestamps(), d.Measure, d.ExplainBy)
 	case "highcard":
-		writeHighCard(*users, *regions, *scale, *n, *seed, *manifest)
-		return
+		var d *synth.HighCardDataset
+		d, err = synth.HighCardinality(synth.ScaleHighCard(synth.HighCardParams{
+			Users: *users, Regions: *regions, N: *n, Seed: *seed,
+		}, *scale))
+		if err == nil {
+			rel, m = d.Rel, highCardManifest()
+			summary = fmt.Sprintf("scenario=highcard rows=%d n=%d pairs=%d ground-truth-cuts=%v",
+				d.Rel.NumRows(), d.Rel.NumTimestamps(), d.Pairs, d.Cuts)
+		}
 	case "taxonomy":
-		writeTaxonomy(*cats, *subcats, *leaves, *n, *seed, *manifest)
-		return
+		var d *synth.TaxonomyDataset
+		d, err = synth.Taxonomy(synth.TaxonomyParams{
+			Cats: *cats, SubcatsPerCat: *subcats, LeavesPerSubcat: *leaves, N: *n, Seed: *seed,
+		})
+		if err == nil {
+			rel, m = d.Rel, taxonomyManifest()
+			summary = fmt.Sprintf("scenario=taxonomy rows=%d n=%d leaves=%d ground-truth-cuts=%v",
+				d.Rel.NumRows(), d.Rel.NumTimestamps(), d.Leaves, d.Cuts)
+		}
+	case "synth":
+		var d *synth.Dataset
+		d, err = synth.Generate(synth.Params{N: *n, Seed: *seed, SNRdB: *snr, Categories: *categories})
+		if err == nil {
+			rel = d.Rel
+			summary = fmt.Sprintf("scenario=synth rows=%d n=%d categories=%d ground-truth-cuts=%v (K=%d)",
+				d.Rel.NumRows(), d.Rel.NumTimestamps(), len(d.Categories), d.Cuts, d.K)
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "datagen: unknown scenario %q\n", *scenario)
 		os.Exit(2)
 	}
+	if err == nil {
+		err = emit(rel, m, *manifest)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintln(os.Stderr, summary)
+}
 
-	var d *datasets.Dataset
-	switch *name {
+// builtin returns the named simulated dataset, or nil for an unknown name.
+func builtin(name string) *datasets.Dataset {
+	switch name {
 	case "covid", "covid-total":
-		d = datasets.CovidTotal()
+		return datasets.CovidTotal()
 	case "covid-daily":
-		d = datasets.CovidDaily()
+		return datasets.CovidDaily()
 	case "sp500":
-		d = datasets.SP500()
+		return datasets.SP500()
 	case "liquor":
-		d = datasets.Liquor()
+		return datasets.Liquor()
 	case "vax-deaths":
-		d = datasets.VaxDeaths()
-	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q\n", *name)
-		os.Exit(2)
+		return datasets.VaxDeaths()
 	}
-	if err := relation.WriteCSV(os.Stdout, d.Rel); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "dataset=%s rows=%d n=%d measure=%q explain-by=%v\n",
-		d.Name, d.Rel.NumRows(), d.Rel.NumTimestamps(), d.Measure, d.ExplainBy)
+	return nil
 }
 
-func writeHighCard(users, regions, scale, n int, seed int64, manifestPath string) {
-	p := synth.ScaleHighCard(synth.HighCardParams{
-		Users: users, Regions: regions, N: n, Seed: seed,
-	}, scale)
-	d, err := synth.HighCardinality(p)
+// emit writes rel as CSV on stdout and, when both a manifest and a path
+// are given, the manifest as indented JSON to that path.
+func emit(rel *relation.Relation, m *catalog.Manifest, manifestPath string) error {
+	if err := relation.WriteCSV(os.Stdout, rel); err != nil {
+		return err
+	}
+	if m == nil || manifestPath == "" {
+		return nil
+	}
+	enc, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+		return err
 	}
-	if err := relation.WriteCSV(os.Stdout, d.Rel); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
-	}
-	if manifestPath != "" {
-		m := catalog.Manifest{
-			Name:       "highcard",
-			TimeCol:    "T",
-			DimCols:    []string{"user", "region"},
-			MeasureCol: "events",
-			Agg:        "SUM",
-			ExplainBy:  []string{"user", "region"},
-			MaxOrder:   2,
-			Approx:     &catalog.ApproxDefaults{MaxCandidates: 4096, Epsilon: 0.05},
-		}
-		enc, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(manifestPath, append(enc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "scenario=highcard rows=%d n=%d pairs=%d ground-truth-cuts=%v\n",
-		d.Rel.NumRows(), d.Rel.NumTimestamps(), d.Pairs, d.Cuts)
+	return os.WriteFile(manifestPath, append(enc, '\n'), 0o644)
 }
 
-func writeTaxonomy(cats, subcats, leaves, n int, seed int64, manifestPath string) {
-	d, err := synth.Taxonomy(synth.TaxonomyParams{
-		Cats: cats, SubcatsPerCat: subcats, LeavesPerSubcat: leaves, N: n, Seed: seed,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+func highCardManifest() *catalog.Manifest {
+	return &catalog.Manifest{
+		Name:       "highcard",
+		TimeCol:    "T",
+		DimCols:    []string{"user", "region"},
+		MeasureCol: "events",
+		Agg:        "SUM",
+		ExplainBy:  []string{"user", "region"},
+		MaxOrder:   2,
+		Approx:     &catalog.ApproxDefaults{MaxCandidates: 4096, Epsilon: 0.05},
 	}
-	if err := relation.WriteCSV(os.Stdout, d.Rel); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+}
+
+func taxonomyManifest() *catalog.Manifest {
+	levels := synth.TaxonomyLevels()
+	return &catalog.Manifest{
+		Name:       "taxonomy",
+		TimeCol:    "T",
+		DimCols:    levels,
+		MeasureCol: "sales",
+		Agg:        "SUM",
+		ExplainBy:  append(append([]string(nil), levels...), "price_bin"),
+		MaxOrder:   2,
+		Approx:     &catalog.ApproxDefaults{MaxCandidates: 4096, Epsilon: 0.05},
+		Hierarchies: []catalog.HierarchySpec{
+			{Name: "taxonomy", Levels: levels},
+		},
+		RangeBins: []catalog.RangeBinSpec{
+			{Column: "price", Bins: 8, As: "price_bin"},
+		},
 	}
-	if manifestPath != "" {
-		levels := synth.TaxonomyLevels()
-		m := catalog.Manifest{
-			Name:       "taxonomy",
-			TimeCol:    "T",
-			DimCols:    levels,
-			MeasureCol: "sales",
-			Agg:        "SUM",
-			ExplainBy:  append(append([]string(nil), levels...), "price_bin"),
-			MaxOrder:   2,
-			Approx:     &catalog.ApproxDefaults{MaxCandidates: 4096, Epsilon: 0.05},
-			Hierarchies: []catalog.HierarchySpec{
-				{Name: "taxonomy", Levels: levels},
-			},
-			RangeBins: []catalog.RangeBinSpec{
-				{Column: "price", Bins: 8, As: "price_bin"},
-			},
-		}
-		enc, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(manifestPath, append(enc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "scenario=taxonomy rows=%d n=%d leaves=%d ground-truth-cuts=%v\n",
-		d.Rel.NumRows(), d.Rel.NumTimestamps(), d.Leaves, d.Cuts)
 }

@@ -20,10 +20,12 @@ import (
 // in one file with an integrity checksum and a staleness fingerprint:
 //
 //	magic "TSXSNAP" + version byte
+//	flags byte: snapCompressed when the payload is flate-compressed
 //	u64 size of data.csv when the snapshot was taken
 //	u64 mtime (ns) of data.csv when the snapshot was taken
-//	u64 payload length
-//	u64 CRC-64/ECMA of the payload
+//	u64 stored payload length
+//	u64 raw (uncompressed) payload length
+//	u64 CRC-64/ECMA of the stored payload
 //	payload: relation section (internal/relation) then universe section
 //	         (internal/explain)
 //
@@ -38,21 +40,19 @@ import (
 
 const (
 	snapContainerMagic = "TSXSNAP"
-	// v1 stores the codec payload raw; v2 flate-compresses it and appends
-	// the uncompressed length to the header (the checksum still covers the
-	// stored bytes, so integrity is verified before inflating). Writers
-	// compress only payloads up to snapCompressMaxBytes: small datasets
-	// are dominated by entropy the varint codec cannot remove (dictionary
-	// strings, near-random mantissas), while large ones (where restore
-	// latency is the product constraint) stay raw so the warm path never
-	// trades decode speed for disk bytes it does not need.
-	snapContainerVersion1 = 1
-	snapContainerVersion2 = 2
-	snapCompressMaxBytes  = 1 << 20
-	snapMaxPayloadBytes   = 1 << 31
-	// snapHeaderLen is the v1 container header size: magic + version +
-	// csvSize + csvMTime + storedLen + CRC. v2 appends a u64 rawLen.
-	snapHeaderLen = len(snapContainerMagic) + 1 + 8 + 8 + 8 + 8
+	// snapContainerVersion is the one container version. Versions 1 and
+	// 2 were earlier headers; their files fail the version check and the
+	// dataset rebuilds from its CSV.
+	snapContainerVersion = 3
+	snapCompressed       = 1
+	// snapCompressMaxBytes caps the payloads that are flate-compressed:
+	// small datasets are dominated by entropy the varint codec cannot
+	// remove (dictionary strings, near-random mantissas), while large ones
+	// (where restore latency is the product constraint) stay raw so the
+	// warm path never trades decode speed for disk bytes it does not
+	// need. Readers reject a compressed payload claiming more.
+	snapCompressMaxBytes = 1 << 20
+	snapHeaderLen        = len(snapContainerMagic) + 1 + 1 + 5*8
 )
 
 // ErrSnapshotStale reports a snapshot whose CSV fingerprint no longer
@@ -78,11 +78,27 @@ func (c *Catalog) DataFingerprint(name string) (Fingerprint, error) {
 	if _, ok := c.Manifest(name); !ok {
 		return Fingerprint{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
+	return c.fingerprint(name)
+}
+
+func (c *Catalog) fingerprint(name string) (Fingerprint, error) {
 	st, err := os.Stat(filepath.Join(c.path(name), dataFile))
 	if err != nil {
 		return Fingerprint{}, fmt.Errorf("catalog: fingerprinting data.csv: %w", err)
 	}
 	return Fingerprint{Size: st.Size(), MTimeNS: st.ModTime().UnixNano()}, nil
+}
+
+// checkFresh returns ErrSnapshotStale unless data.csv still matches fp.
+func (c *Catalog) checkFresh(name string, fp Fingerprint) error {
+	cur, err := c.fingerprint(name)
+	if err != nil {
+		return err
+	}
+	if cur != fp {
+		return ErrSnapshotStale
+	}
+	return nil
 }
 
 // SaveSnapshot atomically writes the dataset's warm-restart snapshot:
@@ -97,74 +113,66 @@ func (c *Catalog) SaveSnapshot(name string, rel *relation.Relation, u *explain.U
 	if _, ok := c.Manifest(name); !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	var payload bytes.Buffer
-	sw := relation.NewSnapWriter(&payload)
-	// The encoder aligns the candidate arena against the absolute file
-	// offset so a memory-mapped v1 container can alias []SumCount in
-	// place; v1's header is headerLen bytes ahead of the payload.
+	var sw relation.SnapWriter
+	// The encoder aligns a raw candidate arena against the absolute file
+	// offset so a memory-mapped container can alias []SumCount in place.
 	sw.SetAbsBase(int64(snapHeaderLen))
-	rel.EncodeSnapshot(sw)
-	if err := u.EncodeSnapshot(sw); err != nil {
+	rel.EncodeSnapshot(&sw)
+	if err := u.EncodeSnapshot(&sw); err != nil {
 		return err
 	}
-	if err := sw.Flush(); err != nil {
+	payload := sw.Bytes()
+	// A save racing an append is stale. Check before the costly
+	// compression, and again under the lock before publishing; the lock is
+	// held only for the check and the write, never for encoding or
+	// compression, so appends and loads do not queue behind them.
+	if err := c.checkFresh(name, fp); err != nil {
 		return err
 	}
 
-	lock := c.lockFor(name)
-	lock.Lock()
-	defer lock.Unlock()
-	st, err := os.Stat(filepath.Join(c.path(name), dataFile))
-	if err != nil {
-		return fmt.Errorf("catalog: fingerprinting data.csv: %w", err)
-	}
-	if st.Size() != fp.Size || st.ModTime().UnixNano() != fp.MTimeNS {
-		return ErrSnapshotStale
-	}
-
-	version := byte(snapContainerVersion1)
-	stored := payload.Bytes()
-	// Arena-form snapshots (raw contiguous candidate series) must stay in
-	// the v1 container: LoadSnapshot memory-maps them and aliases the
-	// arena off the mapping, which a compressed payload cannot support.
-	// They are normally far above snapCompressMaxBytes anyway; the
-	// explicit gate keeps threshold-overridden tests and small arena
-	// datasets on the mappable path.
-	if payload.Len() <= snapCompressMaxBytes && !u.ArenaSnapshotRaw() {
+	var flags byte
+	stored := payload
+	// Arena-form payloads (raw contiguous candidate series) must stay
+	// uncompressed: LoadSnapshot memory-maps them and aliases the arena
+	// off the mapping, which a compressed payload cannot support. They
+	// are normally far above snapCompressMaxBytes anyway; the explicit
+	// gate keeps threshold-overridden tests and small arena datasets on
+	// the mappable path.
+	if len(payload) <= snapCompressMaxBytes && !u.ArenaSnapshotRaw() {
 		var comp bytes.Buffer
 		fw, err := flate.NewWriter(&comp, flate.BestCompression)
 		if err == nil {
-			_, werr := fw.Write(stored)
-			if werr == nil && fw.Close() == nil && comp.Len() < payload.Len() {
-				version = snapContainerVersion2
+			_, werr := fw.Write(payload)
+			if werr == nil && fw.Close() == nil && comp.Len() < len(payload) {
+				flags = snapCompressed
 				stored = comp.Bytes()
 			}
 		}
 	}
 
-	var header bytes.Buffer
-	header.WriteString(snapContainerMagic)
-	header.WriteByte(version)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(fp.Size))
-	header.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(fp.MTimeNS))
-	header.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(len(stored)))
-	header.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], crc64.Checksum(stored, crcTable))
-	header.Write(b[:])
-	if version == snapContainerVersion2 {
-		binary.LittleEndian.PutUint64(b[:], uint64(payload.Len()))
-		header.Write(b[:])
+	header := make([]byte, 0, snapHeaderLen)
+	header = append(header, snapContainerMagic...)
+	header = append(header, snapContainerVersion, flags)
+	for _, v := range []uint64{
+		uint64(fp.Size), uint64(fp.MTimeNS),
+		uint64(len(stored)), uint64(len(payload)),
+		crc64.Checksum(stored, crcTable),
+	} {
+		header = binary.LittleEndian.AppendUint64(header, v)
 	}
 
+	lock := c.lockFor(name)
+	lock.Lock()
+	defer lock.Unlock()
+	if err := c.checkFresh(name, fp); err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(c.path(name), ".snap-")
 	if err != nil {
 		return fmt.Errorf("catalog: staging snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(header.Bytes()); err == nil {
+	if _, err := tmp.Write(header); err == nil {
 		_, err = tmp.Write(stored)
 	}
 	if err != nil {
@@ -181,9 +189,9 @@ func (c *Catalog) SaveSnapshot(name string, rel *relation.Relation, u *explain.U
 }
 
 // validateSnapshot checks the container bytes — header, checksum, and
-// CSV fingerprint — and returns the codec payload. For a v1 container
-// the payload sub-slices raw (aliasable reports true): callers decoding
-// from a memory mapping may alias sections in place. v2 payloads are
+// CSV fingerprint — and returns the codec payload. An uncompressed
+// payload sub-slices raw (aliasable reports true): callers decoding from
+// a memory mapping may alias sections in place. A compressed payload is
 // inflated onto the heap. Callers hold the dataset's lock.
 func (c *Catalog) validateSnapshot(name string, raw []byte) (payload []byte, aliasable bool, err error) {
 	if len(raw) < snapHeaderLen {
@@ -193,71 +201,70 @@ func (c *Catalog) validateSnapshot(name string, raw []byte) (payload []byte, ali
 		return nil, false, fmt.Errorf("catalog: snapshot has bad magic")
 	}
 	off := len(snapContainerMagic)
-	version := raw[off]
-	if version != snapContainerVersion1 && version != snapContainerVersion2 {
-		return nil, false, fmt.Errorf("catalog: snapshot version %d unsupported (want %d or %d)",
-			version, snapContainerVersion1, snapContainerVersion2)
+	if v := raw[off]; v != snapContainerVersion {
+		return nil, false, fmt.Errorf("catalog: snapshot version %d unsupported (want %d)", v, snapContainerVersion)
 	}
-	off++
-	csvSize := binary.LittleEndian.Uint64(raw[off:])
-	off += 8
-	csvMTime := binary.LittleEndian.Uint64(raw[off:])
-	off += 8
-	storedLen := binary.LittleEndian.Uint64(raw[off:])
-	off += 8
-	sum := binary.LittleEndian.Uint64(raw[off:])
-	off += 8
-	var rawLen uint64
-	if version == snapContainerVersion2 {
-		if len(raw) < off+8 {
-			return nil, false, fmt.Errorf("catalog: snapshot truncated (%d bytes)", len(raw))
-		}
-		rawLen = binary.LittleEndian.Uint64(raw[off:])
+	flags := raw[off+1]
+	if flags&^snapCompressed != 0 {
+		return nil, false, fmt.Errorf("catalog: snapshot has unknown flags %#x", flags)
+	}
+	off += 2
+	u64 := func() uint64 {
+		v := binary.LittleEndian.Uint64(raw[off:])
 		off += 8
-		if rawLen > snapMaxPayloadBytes {
-			return nil, false, fmt.Errorf("catalog: snapshot payload length %d exceeds sanity cap", rawLen)
-		}
+		return v
 	}
+	csvSize, csvMTime, storedLen, rawLen, sum := u64(), u64(), u64(), u64(), u64()
 	if uint64(len(raw)-off) != storedLen {
 		return nil, false, fmt.Errorf("catalog: snapshot payload is %d bytes, header says %d", len(raw)-off, storedLen)
+	}
+	compressed := flags == snapCompressed
+	if !compressed && rawLen != storedLen {
+		return nil, false, fmt.Errorf("catalog: uncompressed snapshot payload is %d bytes, header says %d raw", storedLen, rawLen)
+	}
+	if compressed && rawLen > snapCompressMaxBytes {
+		return nil, false, fmt.Errorf("catalog: compressed snapshot claims %d raw bytes, above the %d-byte cap", rawLen, snapCompressMaxBytes)
 	}
 	payload = raw[off:]
 	if got := crc64.Checksum(payload, crcTable); got != sum {
 		return nil, false, fmt.Errorf("catalog: snapshot checksum mismatch (%x != %x)", got, sum)
 	}
-	st, err := os.Stat(filepath.Join(c.path(name), dataFile))
-	if err != nil {
-		return nil, false, fmt.Errorf("catalog: fingerprinting data.csv: %w", err)
+	if err := c.checkFresh(name, Fingerprint{Size: int64(csvSize), MTimeNS: int64(csvMTime)}); err != nil {
+		return nil, false, err
 	}
-	if uint64(st.Size()) != csvSize || uint64(st.ModTime().UnixNano()) != csvMTime {
-		return nil, false, ErrSnapshotStale
+	if !compressed {
+		return payload, true, nil
 	}
-	if version == snapContainerVersion2 {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		defer fr.Close()
-		inflated := make([]byte, rawLen)
-		if _, err := io.ReadFull(fr, inflated); err != nil {
-			return nil, false, fmt.Errorf("catalog: inflating snapshot payload: %w", err)
-		}
-		var extra [1]byte
-		if n, _ := fr.Read(extra[:]); n != 0 {
-			return nil, false, fmt.Errorf("catalog: snapshot payload longer than header says")
-		}
-		return inflated, false, nil
+	fr := flate.NewReader(bytes.NewReader(payload))
+	defer fr.Close()
+	inflated := make([]byte, rawLen)
+	if _, err := io.ReadFull(fr, inflated); err != nil {
+		return nil, false, fmt.Errorf("catalog: inflating snapshot payload: %w", err)
 	}
-	return payload, true, nil
+	var extra [1]byte
+	if n, _ := fr.Read(extra[:]); n != 0 {
+		return nil, false, fmt.Errorf("catalog: snapshot payload longer than header says")
+	}
+	return inflated, false, nil
 }
 
-// loadSnapshotPayload reads the snapshot container, validates the
-// header, checksum, and CSV fingerprint, and returns the codec payload.
-// Callers hold the dataset's lock.
-func (c *Catalog) loadSnapshotPayload(name string) ([]byte, error) {
-	raw, err := os.ReadFile(filepath.Join(c.path(name), snapshotFile))
+// openSnapshot opens the dataset's snapshot through a read-only memory
+// mapping (where the platform supports one) and validates it, returning
+// the open file and the codec payload; aliasable reports whether the
+// payload is a view of a real mapping. The caller closes f unless it
+// pins it to a universe aliasing the mapping. Callers hold the dataset's
+// lock.
+func (c *Catalog) openSnapshot(name string) (f *mmapfile.File, payload []byte, aliasable bool, err error) {
+	f, err = mmapfile.Open(filepath.Join(c.path(name), snapshotFile))
 	if err != nil {
-		return nil, fmt.Errorf("catalog: reading snapshot: %w", err)
+		return nil, nil, false, fmt.Errorf("catalog: reading snapshot: %w", err)
 	}
-	payload, _, err := c.validateSnapshot(name, raw)
-	return payload, err
+	payload, aliasable, err = c.validateSnapshot(name, f.Data())
+	if err != nil {
+		f.Close()
+		return nil, nil, false, err
+	}
+	return f, payload, aliasable && f.Mapped(), nil
 }
 
 // LoadSnapshot reads and fully validates the dataset's snapshot,
@@ -268,8 +275,8 @@ func (c *Catalog) loadSnapshotPayload(name string) ([]byte, error) {
 // fresh universe build.
 //
 // The container is opened through a read-only memory mapping (where the
-// platform supports one). When the payload is an uncompressed v1
-// container holding an arena-form universe section, the universe's
+// platform supports one). When the payload is uncompressed and its
+// universe section holds a raw arena, the universe's
 // candidate series alias the mapping in place — the kernel pages them on
 // demand and may evict them under pressure, so a dataset far larger than
 // the Go heap budget still restores and serves. The mapping's owner is
@@ -286,23 +293,17 @@ func (c *Catalog) LoadSnapshot(name string) (*relation.Relation, *explain.Univer
 	lock := c.lockFor(name)
 	lock.Lock()
 	defer lock.Unlock()
-	f, err := mmapfile.Open(filepath.Join(c.path(name), snapshotFile))
+	f, payload, alias, err := c.openSnapshot(name)
 	if err != nil {
-		return nil, nil, fmt.Errorf("catalog: reading snapshot: %w", err)
-	}
-	payload, aliasable, err := c.validateSnapshot(name, f.Data())
-	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	alias := aliasable && f.Mapped()
 	sr := relation.NewSnapReaderBytes(payload)
-	rel := relation.DecodeSnapshot(sr)
-	if err := sr.Err(); err != nil {
+	rel, err := relation.DecodeSnapshot(sr)
+	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	u, err := explain.DecodeUniverseSnapshotAlias(sr, rel, alias)
+	u, err := explain.DecodeUniverseSnapshot(sr, rel, alias)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -318,7 +319,8 @@ func (c *Catalog) LoadSnapshot(name string) (*relation.Relation, *explain.Univer
 // LoadSnapshotRelation is LoadSnapshot restricted to the relation
 // section: the (dominant) universe payload is never decoded. The serving
 // layer uses it to materialize a dataset's relation on restart; engine
-// builds decode the full snapshot separately.
+// builds decode the full snapshot separately. The decoded relation
+// copies everything it keeps, so the file is closed before returning.
 func (c *Catalog) LoadSnapshotRelation(name string) (*relation.Relation, error) {
 	if _, ok := c.Manifest(name); !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -326,16 +328,12 @@ func (c *Catalog) LoadSnapshotRelation(name string) (*relation.Relation, error) 
 	lock := c.lockFor(name)
 	lock.Lock()
 	defer lock.Unlock()
-	payload, err := c.loadSnapshotPayload(name)
+	f, payload, _, err := c.openSnapshot(name)
 	if err != nil {
 		return nil, err
 	}
-	sr := relation.NewSnapReaderBytes(payload)
-	rel := relation.DecodeSnapshot(sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return rel, nil
+	defer f.Close()
+	return relation.DecodeSnapshot(relation.NewSnapReaderBytes(payload))
 }
 
 // HasSnapshot reports whether a snapshot file exists for the dataset

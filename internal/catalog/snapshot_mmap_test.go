@@ -22,7 +22,7 @@ func mmapCapable() bool {
 }
 
 // TestSnapshotMmapRestore drives the beyond-RAM restore path end to end:
-// an arena-form snapshot is written uncompressed in the v1 container,
+// an arena-form snapshot is written uncompressed,
 // LoadSnapshot memory-maps it, and the restored universe reads candidate
 // series straight off the mapping — bit-identical to the built one —
 // while a snapshot refresh renaming over the file leaves those pinned
@@ -59,10 +59,10 @@ func TestSnapshotMmapRestore(t *testing.T) {
 	if err := c.SaveSnapshot(name, rel, u, fp); err != nil {
 		t.Fatal(err)
 	}
-	// Arena snapshots must stay in the raw v1 container — a compressed
-	// payload cannot be aliased off a mapping.
-	if v := snapshotContainerVersionOf(t, c, name); v != snapContainerVersion1 {
-		t.Fatalf("arena snapshot stored as container v%d, want raw v%d", v, snapContainerVersion1)
+	// Arena snapshots must stay uncompressed — a compressed payload
+	// cannot be aliased off a mapping.
+	if f := snapshotFlagsOf(t, c, name); f != 0 {
+		t.Fatalf("arena snapshot stored with flags %#x, want uncompressed", f)
 	}
 
 	rel2, u2, err := c.LoadSnapshot(name)
@@ -134,8 +134,8 @@ func TestSnapshotMmapFallbackToV2(t *testing.T) {
 	if err := c.SaveSnapshot(name, rel, u, fp); err != nil {
 		t.Fatal(err)
 	}
-	if v := snapshotContainerVersionOf(t, c, name); v != snapContainerVersion2 {
-		t.Fatalf("small snapshot stored as container v%d, want compressed v%d", v, snapContainerVersion2)
+	if f := snapshotFlagsOf(t, c, name); f != snapCompressed {
+		t.Fatalf("small snapshot stored with flags %#x, want compressed", f)
 	}
 	_, u2, err := c.LoadSnapshot(name)
 	if err != nil {

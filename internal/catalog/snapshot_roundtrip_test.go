@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -130,15 +131,15 @@ func roundTripDataset(t *testing.T, name string, rel *relation.Relation, explain
 	return st.Size()
 }
 
-// snapshotContainerVersionOf reads the container version byte of a
-// dataset's snapshot file.
-func snapshotContainerVersionOf(t *testing.T, c *Catalog, name string) byte {
+// snapshotFlagsOf reads the container flags byte of a dataset's snapshot
+// file.
+func snapshotFlagsOf(t *testing.T, c *Catalog, name string) byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(c.Dir(), name, snapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw[len(snapContainerMagic)]
+	return raw[len(snapContainerMagic)+1]
 }
 
 func TestSnapshotRoundTripStream(t *testing.T) {
@@ -181,8 +182,8 @@ func TestSnapshotRoundTripLiquor(t *testing.T) {
 }
 
 // TestSnapshotContainerCompressionGate pins the size gate: small payloads
-// are stored flate-compressed (v2), large ones raw (v1) so the big-dataset
-// restore path never pays decompression.
+// are stored flate-compressed, large ones raw so the big-dataset restore
+// path never pays decompression.
 func TestSnapshotContainerCompressionGate(t *testing.T) {
 	d := datasets.Stream(datasets.StreamDays)
 	name := "gate"
@@ -204,29 +205,25 @@ func TestSnapshotContainerCompressionGate(t *testing.T) {
 	if err := c.SaveSnapshot(name, rel, u, fp); err != nil {
 		t.Fatal(err)
 	}
-	if v := snapshotContainerVersionOf(t, c, name); v != snapContainerVersion2 {
-		t.Fatalf("small snapshot stored as container v%d, want compressed v%d", v, snapContainerVersion2)
+	if f := snapshotFlagsOf(t, c, name); f != snapCompressed {
+		t.Fatalf("small snapshot stored with flags %#x, want compressed", f)
 	}
-	// A v2 container with a corrupted compressed stream (checksum patched
-	// to match) must fail cleanly in the inflater, not panic.
+	// A corrupted compressed stream whose checksum is patched to match
+	// must fail cleanly in the inflater, not panic.
 	path := filepath.Join(c.Dir(), name, snapshotFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerLen := len(snapContainerMagic) + 1 + 8*5
-	if len(raw) > headerLen+10 {
-		bad := append([]byte(nil), raw...)
-		for i := headerLen + 5; i < len(bad); i++ {
-			bad[i] = 0x55
-		}
-		// Recompute nothing: the checksum now mismatches, which must be
-		// reported as an error.
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := c.LoadSnapshot(name); err == nil {
-			t.Fatal("corrupted compressed snapshot loaded without error")
-		}
+	bad := append([]byte(nil), raw...)
+	for i := snapHeaderLen + 5; i < len(bad); i++ {
+		bad[i] = 0x55
+	}
+	fixCRC(bad)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.LoadSnapshot(name); err == nil || !strings.Contains(err.Error(), "inflating") {
+		t.Fatalf("corrupted compressed snapshot: err = %v, want an inflate error", err)
 	}
 }

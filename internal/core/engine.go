@@ -316,7 +316,7 @@ func newEngine(ctx context.Context, rel *relation.Relation, q Query, opts Option
 
 // NewEngineFromUniverse builds an engine around an already materialized
 // candidate universe — the warm-restart path. The universe typically
-// comes from a catalog snapshot (explain.ReadUniverseSnapshot), so the
+// comes from a catalog snapshot (explain.DecodeUniverseSnapshot), so the
 // expensive precompute group-by and planning never run; smoothing and the
 // support filter still run here, per the requested options, on the
 // restored raw series. The universe must match the query exactly (same

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -24,19 +23,18 @@ func explainViaSnapshot(t *testing.T, d *datasets.Dataset, opts Options) *Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	var relBuf, uniBuf bytes.Buffer
-	if err := d.Rel.WriteSnapshot(&relBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.WriteSnapshot(&uniBuf); err != nil {
+	var sw relation.SnapWriter
+	d.Rel.EncodeSnapshot(&sw)
+	if err := u.EncodeSnapshot(&sw); err != nil {
 		t.Fatal(err)
 	}
 
-	rel2, err := relation.ReadSnapshot(&relBuf)
+	sr := relation.NewSnapReaderBytes(sw.Bytes())
+	rel2, err := relation.DecodeSnapshot(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u2, err := explain.ReadUniverseSnapshot(bytes.NewReader(uniBuf.Bytes()), rel2)
+	u2, err := explain.DecodeUniverseSnapshot(sr, rel2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -9,8 +8,8 @@ import (
 	"repro/internal/relation"
 )
 
-// forceArenaSnapshots drops the v3 size threshold so tiny test universes
-// encode in the mappable arena layout, restoring it afterwards.
+// forceArenaSnapshots drops the raw-arena size threshold so tiny test
+// universes encode in the mappable arena layout, restoring it afterwards.
 func forceArenaSnapshots(t *testing.T) {
 	t.Helper()
 	old := ArenaSnapshotThreshold
@@ -31,25 +30,21 @@ func TestUniverseSnapshotArenaRoundTrip(t *testing.T) {
 		t.Fatal("threshold 0 did not select the arena snapshot layout")
 	}
 
-	var buf bytes.Buffer
-	if err := u.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeUni(t, u)
 
-	// Stream decode: the copying path, byte-order independent.
-	u2, err := ReadUniverseSnapshot(bytes.NewReader(buf.Bytes()), r)
+	// Decode without aliasing: the copying path, byte-order independent.
+	u2, err := decodeUni(payload, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	universesEquivalent(t, u, u2)
 	if u2.ArenaMapped() || u2.MappedBytes() != 0 {
-		t.Fatal("stream decode must materialize the arena on the heap")
+		t.Fatal("a decode without aliasing must materialize the arena on the heap")
 	}
 
-	// In-memory decode with aliasing allowed: zero-copy on little-endian
-	// hosts, transparent copy fallback elsewhere.
-	sr := relation.NewSnapReaderBytes(buf.Bytes())
-	u3, err := DecodeUniverseSnapshotAlias(sr, r, true)
+	// Decode with aliasing allowed: zero-copy on little-endian hosts,
+	// transparent copy fallback elsewhere.
+	u3, err := DecodeUniverseSnapshot(relation.NewSnapReaderBytes(payload), r, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +58,6 @@ func TestUniverseSnapshotArenaRoundTrip(t *testing.T) {
 			t.Fatalf("MappedBytes = %d, want %d", got, want)
 		}
 		// The aliased series must point into the payload, not the heap.
-		payload := buf.Bytes()
 		p := uintptr(unsafe.Pointer(&u3.Candidate(0).Series[0]))
 		lo := uintptr(unsafe.Pointer(&payload[0]))
 		hi := lo + uintptr(len(payload))
@@ -87,11 +81,7 @@ func TestArenaAliasSmoothReleasesMapping(t *testing.T) {
 	r := buildCovidMini(t)
 	cfg := Config{Measure: "cases", Agg: relation.Sum, ExplainBy: []string{"state", "region"}, MaxOrder: 2}
 	u := newUniverse(t, r, cfg)
-	var buf bytes.Buffer
-	if err := u.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	u2, err := DecodeUniverseSnapshotAlias(relation.NewSnapReaderBytes(buf.Bytes()), r, true)
+	u2, err := DecodeUniverseSnapshot(relation.NewSnapReaderBytes(encodeUni(t, u)), r, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +111,8 @@ type closerFunc func() error
 func (f closerFunc) Close() error { return f() }
 
 // TestArenaSnapshotRawThreshold pins the layout choice: small universes
-// keep the compact v2 encoding, threshold-crossing ones switch to the
-// raw arena, and smoothed or derived universes never qualify.
+// keep the compact encoding, threshold-crossing ones switch to the raw
+// arena, and smoothed or derived universes never qualify.
 func TestArenaSnapshotRawThreshold(t *testing.T) {
 	r := buildCovidMini(t)
 	u := newUniverse(t, r, Config{Measure: "cases", Agg: relation.Sum, ExplainBy: []string{"state", "region"}, MaxOrder: 2})

@@ -78,7 +78,7 @@ type Universe struct {
 	raw      []relation.SumCount
 	arenaCap int
 	// arenaMapped is set when raw aliases a read-only snapshot mapping
-	// instead of a heap allocation (DecodeUniverseSnapshotAlias): the
+	// instead of a heap allocation (DecodeUniverseSnapshot): the
 	// arena bytes are then kernel-evictable, excluded from ApproxBytes
 	// and reported through MappedBytes instead, and must never be
 	// written — mapped universes are one-shot (stream == nil), so the
@@ -587,7 +587,7 @@ func (u *Universe) MappedBytes() int64 {
 }
 
 // ArenaMapped reports whether the candidate arena aliases a read-only
-// snapshot mapping (see DecodeUniverseSnapshotAlias).
+// snapshot mapping (see DecodeUniverseSnapshot).
 func (u *Universe) ArenaMapped() bool { return u.arenaMapped }
 
 // SetBacking pins the owner of a mapped arena's bytes (the catalog's

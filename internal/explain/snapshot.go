@@ -2,7 +2,6 @@ package explain
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/relation"
 )
@@ -22,64 +21,60 @@ import (
 // (the group-by plans are not persisted), so the streaming append path
 // re-enumerates from the relation as before.
 
+// uniSnapMagic identifies a universe snapshot section and uniSnapVersion
+// is its one format version. Versions 1–3 were earlier layouts; their
+// files fail the version check and the caller rebuilds from the CSV.
 const (
-	uniSnapMagic = "TSXU"
-	// v1 stores the arena as raw (f64, f64) pairs; v2 stores each series
-	// through the relation codec's compact layouts (sparse zero-run +
-	// varint packing) and frames lengths as varints. v3 keeps the v2
-	// framing for every small section but stores the candidate-series
-	// arena as ONE contiguous raw little-endian block, padded so its
-	// absolute file offset is 16-aligned: a memory-mapped snapshot can
-	// then alias the arena in place as []SumCount — the runtime
-	// representation IS the on-disk representation, restore is
-	// near-zero-copy, and the kernel pages cold candidates out instead
-	// of the arena living on the heap. Writers emit v3 only above
-	// ArenaSnapshotThreshold (small arenas compress better under v2 and
-	// are cheap to materialize anyway); readers accept all three.
-	uniSnapVersion1 = 1
-	uniSnapVersion2 = 2
-	uniSnapVersion3 = 3
+	uniSnapMagic   = "TSXU"
+	uniSnapVersion = 4
+)
+
+// Arena layouts, the one byte after the section header. The compact
+// layout stores each candidate series through the relation codec's
+// SumCountsV2 layouts (sparse zero-runs, varint packing). The raw layout
+// stores the candidate-series arena as ONE contiguous little-endian
+// block, padded so its absolute file offset is 16-aligned: a
+// memory-mapped snapshot can then alias it in place as []SumCount — the
+// runtime representation IS the on-disk representation, restore is
+// near-zero-copy, and the kernel pages cold candidates out instead of the
+// arena living on the heap.
+const (
+	arenaCompact = 0
+	arenaRaw     = 1
 )
 
 // ArenaSnapshotThreshold is the raw arena size (candidates × timestamps
-// × 16 bytes) at or above which EncodeSnapshot switches to the v3
-// mappable layout. Below it the compact v2 layouts win on disk — the
+// × 16 bytes) at or above which EncodeSnapshot switches to the raw
+// mappable arena layout. Below it the compact layout wins on disk — the
 // catalog's snapshot ≤ 0.5× CSV footprint contract depends on that for
 // the bundled datasets — and materializing a few megabytes on restore
-// costs nothing. It is a variable so tests can force the v3 path on
+// costs nothing. It is a variable so tests can force the raw layout on
 // tiny datasets.
 var ArenaSnapshotThreshold int64 = 32 << 20
 
-// WriteSnapshot encodes the universe's snapshot section: the query shape
-// (measure, aggregate, explain-by, order threshold), the raw overall
-// series, and every candidate's conjunction and raw series. The universe
-// must be unsmoothed — smoothing replaces the raw arena views, and
-// persisting a smoothed arena would bake one smoothing window into a file
-// meant to serve all of them.
-func (u *Universe) WriteSnapshot(w io.Writer) error {
-	sw := relation.NewSnapWriter(w)
-	if err := u.EncodeSnapshot(sw); err != nil {
-		return err
-	}
-	return sw.Flush()
-}
-
-// EncodeSnapshot appends the universe's snapshot section to an existing
-// snapshot writer (the catalog writes the relation and universe sections
-// into one checksummed file). Arenas at or above ArenaSnapshotThreshold
-// are written in the v3 mappable layout (see ArenaSnapshotRaw); smaller
-// ones keep the compact v2 layout.
+// EncodeSnapshot appends the universe's snapshot section to sw (the
+// catalog writes the relation and universe sections into one checksummed
+// file): the query shape (measure, aggregate, explain-by, order
+// threshold), the raw overall series, every candidate's conjunction, and
+// the candidate arena — raw and mappable at or above
+// ArenaSnapshotThreshold (see ArenaSnapshotRaw), compact below it. The
+// universe must be unsmoothed — smoothing replaces the raw arena views,
+// and persisting a smoothed arena would bake one smoothing window into a
+// file meant to serve all of them.
 func (u *Universe) EncodeSnapshot(sw *relation.SnapWriter) error {
-	if err := u.snapshotable(); err != nil {
-		return err
+	if u.smooth != nil {
+		return fmt.Errorf("explain: cannot snapshot a smoothed universe (snapshot the raw build)")
+	}
+	if u.raw == nil {
+		return fmt.Errorf("explain: cannot snapshot a derived universe (no series arena)")
 	}
 	T := len(u.total)
-	version := uint8(uniSnapVersion2)
+	layout := uint8(arenaCompact)
 	if u.ArenaSnapshotRaw() {
-		version = uniSnapVersion3
+		layout = arenaRaw
 	}
-	sw.Str(uniSnapMagic)
-	sw.U8(version)
+	sw.Section(uniSnapMagic, uniSnapVersion)
+	sw.U8(layout)
 	sw.VStr(u.rel.Measure(u.measure).Name())
 	sw.U8(uint8(u.agg))
 	sw.Uvarint(uint64(len(u.explainBy)))
@@ -97,7 +92,7 @@ func (u *Universe) EncodeSnapshot(sw *relation.SnapWriter) error {
 			sw.Uvarint(uint64(p.Value))
 		}
 	}
-	if version == uniSnapVersion3 {
+	if layout == arenaRaw {
 		// One contiguous raw arena, stride T (the headroom stride of a
 		// streaming build is not persisted), 16-aligned in the file so a
 		// mapping can alias it. Each series is T×16 bytes, so alignment
@@ -115,9 +110,9 @@ func (u *Universe) EncodeSnapshot(sw *relation.SnapWriter) error {
 }
 
 // ArenaSnapshotRaw reports whether EncodeSnapshot will store this
-// universe's candidate arena in the v3 raw mappable layout. The catalog
+// universe's candidate arena in the raw mappable layout. The catalog
 // uses it to skip container compression (a compressed payload cannot be
-// mapped) and to set the writer's absolute base for alignment.
+// mapped).
 func (u *Universe) ArenaSnapshotRaw() bool {
 	if u.raw == nil || u.smooth != nil {
 		return false
@@ -125,101 +120,36 @@ func (u *Universe) ArenaSnapshotRaw() bool {
 	return int64(len(u.cands))*int64(len(u.total))*16 >= ArenaSnapshotThreshold
 }
 
-func (u *Universe) snapshotable() error {
-	if u.smooth != nil {
-		return fmt.Errorf("explain: cannot snapshot a smoothed universe (snapshot the raw build)")
-	}
-	if u.raw == nil {
-		return fmt.Errorf("explain: cannot snapshot a derived universe (no series arena)")
-	}
-	return nil
-}
-
-// EncodeSnapshotV1 writes the legacy fixed-width v1 universe section for
-// cross-version tests and old readers.
-func (u *Universe) EncodeSnapshotV1(sw *relation.SnapWriter) error {
-	if err := u.snapshotable(); err != nil {
-		return err
-	}
-	T := len(u.total)
-	sw.Str(uniSnapMagic)
-	sw.U8(uniSnapVersion1)
-	sw.Str(u.rel.Measure(u.measure).Name())
-	sw.U8(uint8(u.agg))
-	sw.U32(uint32(len(u.explainBy)))
-	for _, d := range u.explainBy {
-		sw.Str(u.rel.Dim(d).Name())
-	}
-	sw.U8(uint8(u.maxOrder))
-	sw.U32(uint32(T))
-	sw.SumCounts(u.rawTotal[:T])
-	sw.U32(uint32(len(u.cands)))
-	for _, c := range u.cands {
-		sw.U8(uint8(len(c.Conj)))
-		for _, p := range c.Conj {
-			sw.U32(uint32(p.Dim))
-			sw.U32(p.Value)
-		}
-	}
-	for id := range u.cands {
-		sw.SumCounts(u.raw[id*u.arenaCap : id*u.arenaCap+T])
-	}
-	return nil
-}
-
-// ReadUniverseSnapshot decodes a universe section written by
-// WriteSnapshot and binds it to rel, which must be the relation the
-// snapshot was built from (the catalog persists both in one checksummed
-// file, so they stay consistent). Every reference into the relation —
-// measure and dimension names, dictionary ids, series length — is
-// re-validated against rel, so a snapshot paired with the wrong relation
-// fails loudly and the caller falls back to rebuilding.
-func ReadUniverseSnapshot(r io.Reader, rel *relation.Relation) (*Universe, error) {
-	return DecodeUniverseSnapshot(relation.NewSnapReader(r), rel)
-}
-
-// DecodeUniverseSnapshot decodes one universe section from an existing
-// snapshot reader, the counterpart of EncodeSnapshot. The candidate
-// arena is always materialized on the heap; the catalog's mmap restore
-// path uses DecodeUniverseSnapshotAlias instead.
-func DecodeUniverseSnapshot(sr *relation.SnapReader, rel *relation.Relation) (*Universe, error) {
-	return DecodeUniverseSnapshotAlias(sr, rel, false)
-}
-
-// DecodeUniverseSnapshotAlias decodes one universe section. With
-// aliasArena set, a v3 raw arena section is aliased zero-copy out of
-// the reader's backing buffer when the host and offset allow it (see
-// relation.SnapReader.AliasSumCounts) — the caller then owns keeping
-// that buffer (typically a read-only memory mapping) alive for the
-// universe's lifetime, and Universe.ArenaMapped reports true. In every
-// other case the arena is copied onto the heap exactly as before.
-func DecodeUniverseSnapshotAlias(sr *relation.SnapReader, rel *relation.Relation, aliasArena bool) (*Universe, error) {
+// DecodeUniverseSnapshot decodes one universe section from sr, the
+// counterpart of EncodeSnapshot, and binds it to rel, which must be the
+// relation the snapshot was built from (the catalog persists both in one
+// checksummed file, so they stay consistent). Every reference into the
+// relation — measure and dimension names, dictionary ids, series length
+// — is re-validated against rel, so a snapshot paired with the wrong
+// relation fails loudly and the caller falls back to rebuilding.
+//
+// With aliasArena set, a raw arena is aliased zero-copy out of the
+// reader's backing buffer when the host and offset allow it (see
+// relation.SnapReader.AliasSumCounts) — the caller then owns keeping that
+// buffer (typically a read-only memory mapping) alive for the universe's
+// lifetime, and Universe.ArenaMapped reports true. In every other case
+// the arena is materialized on the heap.
+func DecodeUniverseSnapshot(sr *relation.SnapReader, rel *relation.Relation, aliasArena bool) (*Universe, error) {
 	fail := func(format string, args ...any) (*Universe, error) {
 		if err := sr.Err(); err != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("explain: snapshot: "+format, args...)
 	}
-	if magic := sr.Str(); magic != uniSnapMagic {
-		return fail("bad magic %q", magic)
+	sr.Section(uniSnapMagic, uniSnapVersion)
+	layout := sr.U8()
+	if sr.Err() != nil {
+		return nil, sr.Err()
 	}
-	version := sr.U8()
-	if version < uniSnapVersion1 || version > uniSnapVersion3 {
-		return fail("unsupported version %d (want %d..%d)", version, uniSnapVersion1, uniSnapVersion3)
+	if layout != arenaCompact && layout != arenaRaw {
+		return fail("unknown arena layout %d", layout)
 	}
-	// v1 frames with fixed u32 lengths and raw series; v2/v3 with varints
-	// and compact series (v3 differs only in the arena block below). The
-	// shared decoding flow switches through these shims, so the
-	// validation logic exists once.
-	rdLen := sr.Len
-	rdStr := sr.Str
-	rdSeries := sr.SumCountsInto
-	if version >= uniSnapVersion2 {
-		rdLen = sr.VLen
-		rdStr = sr.VStr
-		rdSeries = sr.SumCountsV2Into
-	}
-	measureName := rdStr()
+	measureName := sr.VStr()
 	m := rel.MeasureIndex(measureName)
 	if m < 0 {
 		return fail("measure %q not in relation", measureName)
@@ -228,13 +158,13 @@ func DecodeUniverseSnapshotAlias(sr *relation.SnapReader, rel *relation.Relation
 	if agg != relation.Sum && agg != relation.Count && agg != relation.Avg {
 		return fail("unknown aggregate %d", agg)
 	}
-	nBy := rdLen("explain-by count")
+	nBy := sr.VLen("explain-by count")
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}
 	explainBy := make([]int, 0, nBy)
 	for i := 0; i < nBy; i++ {
-		name := rdStr()
+		name := sr.VStr()
 		d := rel.DimIndex(name)
 		if d < 0 {
 			return fail("explain-by attribute %q not in relation", name)
@@ -248,13 +178,12 @@ func DecodeUniverseSnapshotAlias(sr *relation.SnapReader, rel *relation.Relation
 	if maxOrder < 1 || maxOrder > len(explainBy) {
 		return fail("order threshold %d out of range for %d attributes", maxOrder, len(explainBy))
 	}
-	T := rdLen("series length")
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-	if T != rel.NumTimestamps() {
+	// The series length is checked against the relation, not the bytes
+	// left: a sparse series of any length can encode in two bytes.
+	if T := sr.Uvarint(); T != uint64(rel.NumTimestamps()) {
 		return fail("series length %d, relation has %d timestamps", T, rel.NumTimestamps())
 	}
+	T := rel.NumTimestamps()
 
 	u := &Universe{
 		rel:       rel,
@@ -266,17 +195,18 @@ func DecodeUniverseSnapshotAlias(sr *relation.SnapReader, rel *relation.Relation
 		arenaCap:  T,
 		index:     newCandIndex(rel, maxOrder),
 	}
-	rdSeries(u.rawTotal)
+	sr.SumCountsV2Into(u.rawTotal)
 	u.total = u.rawTotal
 
-	nCands := rdLen("candidate count")
+	nCands := sr.VLen("candidate count")
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}
-	// The arena allocation is bounded by what the stream can actually
-	// back: a corrupt count fails the multiplication guard or the
-	// subsequent bulk read, never an absurd allocation that outlives it.
-	if T > 0 && nCands > (snapArenaCapEntries/T) {
+	// The arena allocation is bounded by what the payload can back: a raw
+	// arena must fit in the bytes left, and a compact one (whose sparse
+	// series can be far smaller than their decoded form) stays under the
+	// entry cap.
+	if T > 0 && nCands > snapArenaCapEntries/T {
 		return fail("candidate count %d × %d timestamps exceeds sanity cap", nCands, T)
 	}
 	u.cands = make([]*Candidate, 0, nCands)
@@ -290,31 +220,21 @@ func DecodeUniverseSnapshotAlias(sr *relation.SnapReader, rel *relation.Relation
 		}
 		conj := make(relation.Conjunction, order)
 		for i := range conj {
-			var dim int
-			var val uint32
-			if version >= uniSnapVersion2 {
-				d, v := sr.Uvarint(), sr.Uvarint()
-				if d > uint64(rel.NumDims()) || v > uint64(snapArenaCapEntries) {
-					return fail("candidate %d predicate out of range", id)
-				}
-				dim, val = int(d), uint32(v)
-			} else {
-				dim, val = int(sr.U32()), sr.U32()
-			}
+			dim, val := sr.Uvarint(), sr.Uvarint()
 			if sr.Err() != nil {
 				return nil, sr.Err()
 			}
-			if dim < 0 || dim >= rel.NumDims() {
+			if dim >= uint64(rel.NumDims()) {
 				return fail("candidate %d references dimension %d of %d", id, dim, rel.NumDims())
 			}
-			if int(val) >= rel.Dim(dim).Cardinality() {
+			if card := rel.Dim(int(dim)).Cardinality(); val >= uint64(card) {
 				return fail("candidate %d references value %d of dimension %q (%d values)",
-					id, val, rel.Dim(dim).Name(), rel.Dim(dim).Cardinality())
+					id, val, rel.Dim(int(dim)).Name(), card)
 			}
-			if i > 0 && dim <= conj[i-1].Dim {
+			if i > 0 && int(dim) <= conj[i-1].Dim {
 				return fail("candidate %d conjunction not in canonical order", id)
 			}
-			conj[i] = relation.Pred{Dim: dim, Value: val}
+			conj[i] = relation.Pred{Dim: int(dim), Value: uint32(val)}
 		}
 		if _, dup := u.index.lookup(conj); dup {
 			return fail("candidate %d duplicates an earlier conjunction", id)
@@ -322,12 +242,18 @@ func DecodeUniverseSnapshotAlias(sr *relation.SnapReader, rel *relation.Relation
 		u.cands = append(u.cands, &Candidate{ID: id, Conj: conj})
 		u.index.insert(conj, id)
 	}
-	if version == uniSnapVersion3 {
-		// The v3 arena is one contiguous raw block, stride T, 16-aligned
-		// in the file. Alias it in place when the caller allows and the
-		// buffer cooperates; otherwise bulk-copy it (still one dense
+	if layout == arenaRaw {
+		// One contiguous raw block, stride T, 16-aligned in the file.
+		// Alias it in place when the caller allows and the buffer
+		// cooperates; otherwise bulk-copy it (still one dense
 		// little-endian read, no per-series layout dispatch).
 		sr.SkipPad()
+		if sr.Err() != nil {
+			return nil, sr.Err()
+		}
+		if nCands*T > sr.Remaining()/16 {
+			return fail("raw arena of %d × %d entries exceeds the %d bytes left", nCands, T, sr.Remaining())
+		}
 		if aliasArena {
 			if arena, ok := sr.AliasSumCounts(nCands * T); ok {
 				u.raw = arena
@@ -345,7 +271,7 @@ func DecodeUniverseSnapshotAlias(sr *relation.SnapReader, rel *relation.Relation
 		u.raw = make([]relation.SumCount, nCands*T)
 		for id, c := range u.cands {
 			s := u.raw[id*T : id*T+T : (id+1)*T]
-			rdSeries(s)
+			sr.SumCountsV2Into(s)
 			c.Series = s
 		}
 	}

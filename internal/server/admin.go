@@ -116,7 +116,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrf(http.StatusBadRequest, "%v", err))
 		return
 	}
-	s.reg.publishDataset(manifest.Name, &datasets.Dataset{
+	s.reg.replaceDataset(manifest.Name, &datasets.Dataset{
 		Name:         manifest.Name,
 		Rel:          rel,
 		Measure:      manifest.MeasureCol,
@@ -209,7 +209,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.dropLive(canon)
-	s.reg.invalidateDataset(canon)
+	s.reg.replaceDataset(canon, nil)
 	s.met.catalogDeletes.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{"deleted": canon})

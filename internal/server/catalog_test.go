@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -414,6 +415,45 @@ func TestCatalogSnapshotStaleAfterOfflineAppend(t *testing.T) {
 	}
 	if got := res.Segments[len(res.Segments)-1].End; got != "2021-03-13" {
 		t.Fatalf("post-restart series ends at %q, want the appended 2021-03-13", got)
+	}
+}
+
+// TestCatalogUnusableSnapshotIsRewritten: a snapshot the server cannot
+// use — here one in an older container format — falls back to the CSV
+// and is rewritten in the background, so the next restart restores from
+// it instead of parsing the CSV again.
+func TestCatalogUnusableSnapshotIsRewritten(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newCatalogServer(t, dir)
+	if rec := upload(t, s1, catalogTestManifest, catalogTestCSV(12), true); rec.Code != 201 {
+		t.Fatalf("upload: %d", rec.Code)
+	}
+	s1.Close()
+	path := filepath.Join(dir, "mydata", "snapshot.bin")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len("TSXSNAP")] = 2 // the previous container version
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newCatalogServer(t, dir)
+	if rec := get(t, s2, "/api/explain?dataset=mydata"); rec.Code != 200 {
+		t.Fatalf("explain over an old-format snapshot: %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := s2.met.snapshotFallbacks.Load(); n != 1 {
+		t.Fatalf("snapshot fallbacks = %d, want 1", n)
+	}
+	s2.Close() // waits for the background rewrite
+
+	s3 := newCatalogServer(t, dir)
+	if rec := get(t, s3, "/api/explain?dataset=mydata"); rec.Code != 200 {
+		t.Fatalf("explain after the rewrite: %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := s3.met.snapshotRelRestores.Load(); n < 1 {
+		t.Fatalf("relation snapshot restores after the rewrite = %d, want >= 1", n)
 	}
 }
 

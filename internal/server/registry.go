@@ -76,7 +76,7 @@ type registry struct {
 	// compute records the generation it started under and only caches its
 	// result if the generation is unchanged when it finishes — without
 	// this, an explain in flight across an append would re-insert its
-	// pre-append result into the cache invalidateDataset just swept, and
+	// pre-append result into the cache replaceDataset just swept, and
 	// serve stale data until the next eviction.
 	dmu   sync.Mutex
 	dsets map[string]*datasetEntry //tsexplain:guardedby dmu
@@ -110,7 +110,7 @@ type refreshJob struct {
 
 // datasetEntry is one lazily materialized dataset. Published relations
 // are immutable: an append never mutates an entry's relation, it swaps in
-// a fresh entry (see publishDataset), so concurrent readers of the old
+// a fresh entry (see replaceDataset), so concurrent readers of the old
 // entry are always safe.
 type datasetEntry struct {
 	mu     sync.Mutex
@@ -280,7 +280,10 @@ func (g *registry) isCatalogDataset(name string) bool {
 // loadDataset materializes a dataset: built-in generators first, then the
 // catalog. Catalog datasets prefer the warm-restart snapshot (skipping
 // the CSV parse and dictionary encoding) and fall back to the CSV when
-// the snapshot is missing, stale, or fails validation.
+// the snapshot is missing, stale, in an older format, or fails
+// validation. A fallback schedules a background rewrite of the snapshot;
+// otherwise every restart would parse the CSV again until the dataset's
+// next upload or append.
 func (g *registry) loadDataset(name string) (*datasets.Dataset, error) {
 	if isBuiltinDataset(name) {
 		return demoDataset(name)
@@ -323,6 +326,9 @@ func (g *registry) loadDataset(name string) (*datasets.Dataset, error) {
 	rel, err := g.cat.LoadRelation(name)
 	if err != nil {
 		return nil, err
+	}
+	if g.snapshots {
+		g.refreshSnapshot(name)
 	}
 	d.Rel = rel
 	return d, nil
@@ -524,7 +530,7 @@ func (g *registry) explain(ctx context.Context, p params) (*core.Result, error) 
 		}
 		// Cache only if the dataset was not invalidated (deleted or
 		// appended to) while this compute ran — a stale result cached
-		// here would outlive the sweep invalidateDataset just did. The
+		// here would outlive the sweep replaceDataset just did. The
 		// deduped waiters still receive the result either way.
 		cacheable := c.err == nil && g.datasetGen(p.dataset) == gen
 		sh.mu.Lock()
@@ -802,13 +808,6 @@ func (sh *shard) reprice(ent *engineEntry) {
 	sh.mu.Unlock()
 }
 
-// invalidateDataset drops every cached artifact of a dataset after an
-// admin mutation (delete, append): the materialized dataset entry, every
-// pooled engine whose key belongs to the dataset, and every cached
-// result. Pins are respected in the only way that matters — an entry is
-// removed from the pool, never yanked from the request using it: in-
-// flight requests keep their reference and finish on the pre-mutation
-// data, while new requests materialize fresh state.
 // datasetGen returns the dataset's current invalidation generation.
 func (g *registry) datasetGen(name string) uint64 {
 	g.dmu.Lock()
@@ -816,9 +815,25 @@ func (g *registry) datasetGen(name string) uint64 {
 	return g.gens[name]
 }
 
-func (g *registry) invalidateDataset(name string) {
+// replaceDataset installs d as the dataset's materialized entry (nil
+// drops it, after a delete) and drops every cached artifact built over
+// the previous one: every pooled engine whose key belongs to the dataset
+// and every cached result. The upload and append paths pass the relation
+// they just parsed or extended, so the next request serves it without
+// re-reading the file that was just written, and installing it in the
+// same critical section as the drop means no request observes a gap and
+// re-parses the CSV. d's relation must be immutable from here on
+// (appends clone the live relation). Pins are respected in the only way
+// that matters — an entry is removed from the pool, never yanked from the
+// request using it: in-flight requests keep their reference and finish
+// on the pre-mutation data, while new requests see the new state.
+func (g *registry) replaceDataset(name string, d *datasets.Dataset) {
 	g.dmu.Lock()
-	delete(g.dsets, name)
+	if d != nil {
+		g.dsets[name] = &datasetEntry{loaded: true, d: d}
+	} else {
+		delete(g.dsets, name)
+	}
 	g.gens[name]++
 	g.dmu.Unlock()
 
@@ -838,18 +853,6 @@ func (g *registry) invalidateDataset(name string) {
 		sh.results.removeMatching(owns)
 		sh.mu.Unlock()
 	}
-}
-
-// publishDataset installs a ready-made dataset entry, replacing whatever
-// the registry held for the name. The upload and append paths use it so
-// the very next request serves the new data without re-reading the file
-// that was just written. d's relation must be immutable from here on
-// (appends clone the live relation before publishing).
-func (g *registry) publishDataset(name string, d *datasets.Dataset) {
-	e := &datasetEntry{loaded: true, d: d}
-	g.dmu.Lock()
-	g.dsets[name] = e
-	g.dmu.Unlock()
 }
 
 // evictOverBudgetLocked sheds cold engines until the shard is back under
@@ -977,19 +980,18 @@ func (g *registry) appendDelta(ctx context.Context, name string, timeVals []stri
 
 	// Publish the extended data for the serving path: drop every engine
 	// and cached result built over the pre-append relation —
-	// unconditionally, now that the delta is durable — then install a
+	// unconditionally, now that the delta is durable — and install a
 	// fresh immutable clone so the next request doesn't re-parse the CSV
 	// we just wrote. If the query shape can't be resolved, the
 	// invalidation alone is still correct: the next request reloads from
 	// the (post-append) CSV.
-	d, derr := g.dataset(name) // pre-invalidation entry; only used for the query shape
-	liveRel := ls.inc.Engine().Universe().Relation()
-	g.invalidateDataset(name)
-	if derr == nil {
-		fresh := *d
-		fresh.Rel = liveRel.Clone()
-		g.publishDataset(name, &fresh)
+	var fresh *datasets.Dataset
+	if d, err := g.dataset(name); err == nil { // pre-invalidation entry; only used for the query shape
+		clone := *d
+		clone.Rel = ls.inc.Engine().Universe().Relation().Clone()
+		fresh = &clone
 	}
+	g.replaceDataset(name, fresh)
 	return res, nil
 }
 
