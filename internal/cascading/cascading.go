@@ -14,8 +14,6 @@
 package cascading
 
 import (
-	"sort"
-
 	"repro/internal/explain"
 )
 
@@ -40,15 +38,6 @@ type Result struct {
 	// score of Explanations; the smaller entries are the DP side products
 	// the guess-and-verify condition (Eq. 12) needs.
 	Best []float64
-}
-
-// TotalGamma returns Σ γ(E) over the selected explanations.
-func (r Result) TotalGamma() float64 {
-	var s float64
-	for _, p := range r.Explanations {
-		s += p.Gamma
-	}
-	return s
 }
 
 // Solver runs the Cascading Analysts DP against one Universe and metric.
@@ -81,10 +70,13 @@ type Solver struct {
 	dpStack  [][]float64
 	exDP     [][]float64
 	exTake   [][]int
+	exKid    [][]uint32
+	picked   []int
 
 	// GuessVerify scratch, reused across rounds and calls.
 	chiBuf     []int
 	allowedBuf []bool
+	tailBuf    []int
 }
 
 // NewSolver returns a Solver that selects up to m non-overlapping
@@ -141,6 +133,8 @@ type solveState struct {
 	// reach marks nodes (index id+1) whose subtree contains a selectable
 	// candidate; nil disables pruning.
 	reach []bool
+	// leaves is the table's leaf bitmap (ScoreTable.Leaves).
+	leaves []uint64
 }
 
 // memoGet returns the cached DP vector for nodeID, or nil.
@@ -183,19 +177,23 @@ func (s *Solver) dpAt(depth int) []float64 {
 }
 
 // exBufs returns extract()'s parent-pointer tables for the given recursion
-// depth, as flat (rows × (m+1)) arrays grown on demand and reused across
-// solves.
-func (s *Solver) exBufs(depth, rows int) ([]float64, []int) {
+// depth, as flat (rows × (m+1)) arrays, plus the row → child id map, all
+// grown on demand and reused across solves.
+func (s *Solver) exBufs(depth, rows int) ([]float64, []int, []uint32) {
 	for len(s.exDP) <= depth {
 		s.exDP = append(s.exDP, nil)
 		s.exTake = append(s.exTake, nil)
+		s.exKid = append(s.exKid, nil)
 	}
 	need := rows * (s.m + 1)
 	if cap(s.exDP[depth]) < need {
 		s.exDP[depth] = make([]float64, need)
 		s.exTake[depth] = make([]int, need)
 	}
-	return s.exDP[depth][:need], s.exTake[depth][:need]
+	if cap(s.exKid[depth]) < rows {
+		s.exKid[depth] = make([]uint32, rows)
+	}
+	return s.exDP[depth][:need], s.exTake[depth][:need], s.exKid[depth][:rows]
 }
 
 // carveVec takes the next (m+1)-sized zeroed vector from the per-solve
@@ -233,6 +231,7 @@ func (s *Solver) solveScored(tab *explain.ScoreTable, scores segmentScores, allo
 		tab:     tab,
 		scores:  scores,
 		allowed: allowed,
+		leaves:  tab.Leaves(),
 	}
 	// Reachability pruning: when selection is restricted, only subtrees
 	// containing a selectable candidate can contribute, so mark every
@@ -247,8 +246,7 @@ func (s *Solver) solveScored(tab *explain.ScoreTable, scores segmentScores, allo
 			reach[int(id)+1] = false
 		}
 		s.marked = s.marked[:0]
-		//tsexplain:allowalloc one prologue closure per solve; non-escaping, stack-allocated
-		mark := func(id int) {
+		for _, id := range ids {
 			for _, anc := range s.u.AncestorsOf(id) {
 				if !reach[anc+1] {
 					reach[anc+1] = true
@@ -256,32 +254,90 @@ func (s *Solver) solveScored(tab *explain.ScoreTable, scores segmentScores, allo
 				}
 			}
 		}
-		for _, id := range ids {
-			mark(id)
-		}
 		st.reach = reach
 	}
 	if s.zeroVec == nil || len(s.zeroVec) != s.m+1 {
 		s.zeroVec = make([]float64, s.m+1)
 	}
-	// Result.Best escapes the solve (callers cache Results), so copy it
-	// out of the reusable arena.
-	best := append([]float64(nil), st.best(-1, 0)...)
-	picked := make([]int, 0, s.m)
-	st.extract(-1, s.m, 0, &picked)
-	res := Result{Best: best}
-	for _, id := range picked {
-		res.Explanations = append(res.Explanations, Picked{
-			ID:     id,
-			Gamma:  scores.gamma[id],
-			Effect: scores.effect[id],
-		})
+	// The Result escapes the solve (callers cache Results): Best is
+	// copied out of the reusable arena, and Explanations is sized to the
+	// picks. Once the scratch has grown, these are the solve's only
+	// allocations.
+	res := Result{Best: append([]float64(nil), st.best(-1, 0)...)}
+	s.picked = s.picked[:0]
+	st.extract(-1, s.m, 0)
+	if len(s.picked) > 0 {
+		res.Explanations = make([]Picked, len(s.picked))
+		for i, id := range s.picked {
+			res.Explanations[i] = Picked{
+				ID:     id,
+				Gamma:  scores.gamma[id],
+				Effect: scores.effect[id],
+			}
+		}
+		sortPickedByGamma(res.Explanations)
 	}
-	//tsexplain:allowalloc result assembly; Result escapes the solve by design
-	sort.SliceStable(res.Explanations, func(i, j int) bool {
-		return res.Explanations[i].Gamma > res.Explanations[j].Gamma
-	})
 	return res
+}
+
+// sortPickedByGamma stably sorts picks by descending γ with an insertion
+// sort. It allocates nothing, and yields the permutation any stable sort
+// under the same comparison yields, sort.SliceStable's included, as long
+// as no γ is NaN.
+//
+//tsexplain:hotpath
+func sortPickedByGamma(p []Picked) {
+	for i := 1; i < len(p); i++ {
+		x := p[i]
+		j := i
+		for ; j > 0 && x.Gamma > p[j-1].Gamma; j-- {
+			p[j] = p[j-1]
+		}
+		p[j] = x
+	}
+}
+
+// isLeaf reports whether node id has no children in the solve's
+// adjacency.
+func (st *solveState) isLeaf(id uint32) bool {
+	w := int(id >> 6)
+	return w < len(st.leaves) && st.leaves[w]&(1<<(id&63)) != 0
+}
+
+// leafGain is the g of a leaf's DP vector [0, g, …, g]: its γ when it is
+// selectable and γ > 0, and 0 otherwise (reporting the leaf is its only
+// option, and best's strict comparisons never take a γ ≤ 0 or NaN).
+func (st *solveState) leafGain(id uint32) float64 {
+	if !st.selectable(int(id)) {
+		return 0
+	}
+	if g := st.scores.gamma[id]; g > 0 {
+		return g
+	}
+	return 0
+}
+
+// leafStep folds a leaf child with gain g into the knapsack row dp. The
+// generic step against the leaf's vector [0, g, …, g] is
+//
+//	dp[q] = max over 1 ≤ take ≤ q of dp[q−take] + g, if strictly larger.
+//
+// The row is non-decreasing in q and float addition is monotone, so
+// take = 1 gives the largest candidate and later takes never win a strict
+// comparison: the step reduces to dp[q] = max(dp[q], dp[q−1] + g) with the
+// same comparison on the same operands, bit for bit. With g = 0 nothing
+// changes at all.
+//
+//tsexplain:hotpath
+func leafStep(dp []float64, g float64) {
+	if !(g > 0) {
+		return
+	}
+	for q := len(dp) - 1; q >= 1; q-- {
+		if v := dp[q-1] + g; v > dp[q] {
+			dp[q] = v
+		}
+	}
 }
 
 // selectable reports whether candidate id may be reported as an
@@ -329,6 +385,11 @@ func (st *solveState) best(nodeID, depth int) []float64 {
 			if st.reach != nil && !st.reach[kid+1] {
 				continue
 			}
+			// A leaf needs neither a memoized vector nor the O(m²) step.
+			if st.isLeaf(kid) {
+				leafStep(dp, st.leafGain(kid))
+				continue
+			}
 			kb := st.best(int(kid), depth+1)
 			for q := m; q >= 1; q-- {
 				for take := 1; take <= q; take++ {
@@ -367,12 +428,13 @@ func (st *solveState) best(nodeID, depth int) []float64 {
 }
 
 // extract re-walks the DP decisions to recover which explanations achieve
-// best[q] at the given node, appending candidate IDs to picked. depth
-// indexes the reusable parent-pointer tables, which stay live across the
-// recursive calls below (the recursion only ever uses deeper buffers).
+// best[q] at the given node, appending candidate IDs to the solver's
+// picked scratch. depth indexes the reusable parent-pointer tables, which
+// stay live across the recursive calls below (the recursion only ever
+// uses deeper buffers).
 //
 //tsexplain:hotpath
-func (st *solveState) extract(nodeID, q, depth int, picked *[]int) {
+func (st *solveState) extract(nodeID, q, depth int) {
 	if q <= 0 {
 		return
 	}
@@ -383,12 +445,16 @@ func (st *solveState) extract(nodeID, q, depth int, picked *[]int) {
 
 	// Does reporting the node itself achieve the target?
 	if nodeID >= 0 && st.selectable(nodeID) && st.scores.gamma[nodeID] >= target {
-		*picked = append(*picked, nodeID)
+		st.s.picked = append(st.s.picked, nodeID)
 		return
 	}
 
 	// Otherwise some drill-down does. Find the dimension and re-run its
-	// knapsack with parent pointers to recover the quota split.
+	// knapsack with parent pointers to recover the quota split. As in
+	// best, unreachable children are skipped (their zero vector never
+	// wins a strict comparison) and leaves take the one-step form: the
+	// first strictly better take for a leaf is always 1, so a leaf is
+	// picked exactly when its row's take is nonzero.
 	for _, dim := range st.s.dims {
 		if nodeID >= 0 && st.s.u.Candidate(nodeID).Conj.HasDim(dim) {
 			continue
@@ -399,16 +465,34 @@ func (st *solveState) extract(nodeID, q, depth int, picked *[]int) {
 		}
 		m := st.s.m
 		w := m + 1
-		// dp[k*w+j]: best total over the first k children using quota j.
-		dp, take := st.s.exBufs(depth, len(kids)+1)
+		// dp[k*w+j]: best total over the first k kept children using
+		// quota j; row k+1 belongs to child rowKid[k].
+		dp, take, rowKid := st.s.exBufs(depth, len(kids)+1)
 		for j := 0; j <= m; j++ {
 			dp[j] = 0
 		}
-		for k, kid := range kids {
+		rows := 0
+		for _, kid := range kids {
+			if st.reach != nil && !st.reach[kid+1] {
+				continue
+			}
+			prev, cur := dp[rows*w:(rows+1)*w], dp[(rows+1)*w:(rows+2)*w]
+			curTake := take[(rows+1)*w : (rows+2)*w]
+			rowKid[rows] = kid
+			rows++
+			cur[0], curTake[0] = prev[0], 0
+			if st.isLeaf(kid) {
+				g := st.leafGain(kid)
+				for j := 1; j <= m; j++ {
+					cur[j], curTake[j] = prev[j], 0
+					if v := prev[j-1] + g; v > cur[j] {
+						cur[j], curTake[j] = v, 1
+					}
+				}
+				continue
+			}
 			kb := st.best(int(kid), depth+1)
-			prev, cur := dp[k*w:(k+1)*w], dp[(k+1)*w:(k+2)*w]
-			curTake := take[(k+1)*w : (k+2)*w]
-			for j := 0; j <= m; j++ {
+			for j := 1; j <= m; j++ {
 				cur[j] = prev[j]
 				curTake[j] = 0
 				for x := 1; x <= j; x++ {
@@ -419,14 +503,19 @@ func (st *solveState) extract(nodeID, q, depth int, picked *[]int) {
 				}
 			}
 		}
-		if dp[len(kids)*w+q] >= target {
+		if dp[rows*w+q] >= target {
 			j := q
-			for k := len(kids); k >= 1; k-- {
+			for k := rows; k >= 1; k-- {
 				x := take[k*w+j]
-				if x > 0 {
-					st.extract(int(kids[k-1]), x, depth+1, picked)
-					j -= x
+				if x == 0 {
+					continue
 				}
+				if kid := rowKid[k-1]; st.isLeaf(kid) {
+					st.s.picked = append(st.s.picked, int(kid))
+				} else {
+					st.extract(int(kid), x, depth+1)
+				}
+				j -= x
 			}
 			return
 		}

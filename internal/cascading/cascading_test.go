@@ -158,8 +158,12 @@ func TestBestVectorMonotone(t *testing.T) {
 				q, res.Best[q], q-1, res.Best[q-1])
 		}
 	}
-	if math.Abs(res.TotalGamma()-res.Best[3]) > 1e-9 {
-		t.Errorf("TotalGamma = %g, Best[3] = %g", res.TotalGamma(), res.Best[3])
+	var total float64
+	for _, p := range res.Explanations {
+		total += p.Gamma
+	}
+	if math.Abs(total-res.Best[3]) > 1e-9 {
+		t.Errorf("Σγ of the picks = %g, Best[3] = %g", total, res.Best[3])
 	}
 }
 

@@ -1,8 +1,6 @@
 package cascading
 
 import (
-	"sort"
-
 	"repro/internal/explain"
 )
 
@@ -32,14 +30,22 @@ func (s *Solver) GuessVerify(c, t int, initGuess int, tab *explain.ScoreTable) (
 // guessVerifyScored runs the guess-and-verify rounds over a prepared
 // score buffer and selectable id list. chi is solver scratch; it is
 // reordered in place.
+//
+//tsexplain:hotpath
 func (s *Solver) guessVerifyScored(tab *explain.ScoreTable, scores segmentScores, chi []int, base []bool, initGuess int) (Result, int) {
 	n := len(scores.gamma)
 	mbar := initGuess
 	if mbar < s.m {
 		mbar = s.m
 	}
+	if cap(s.tailBuf) < s.m {
+		s.tailBuf = make([]int, s.m)
+	}
 	rounds := 0
-	sorted := 0 // prefix of chi already in descending-γ order
+	// sorted is the prefix of chi selectTop last settled. It is in stable
+	// descending-γ order, except that a round that split it leaves the
+	// guess chi[:mbar] unsorted until the round fails.
+	sorted := 0
 	for {
 		rounds++
 		if mbar >= len(chi) {
@@ -48,15 +54,17 @@ func (s *Solver) guessVerifyScored(tab *explain.ScoreTable, scores segmentScores
 			// it doubles as the reach-marking id list.
 			return s.solveScored(tab, scores, base, chi), rounds
 		}
+		split := false
 		if need := mbar + s.m; need > sorted {
 			if need > len(chi) {
 				need = len(chi)
 			}
 			selectTop(chi, scores.gamma, need)
-			sort.SliceStable(chi[:need], func(i, j int) bool {
-				return scores.gamma[chi[i]] > scores.gamma[chi[j]]
-			})
-			sorted = need
+			// The round reads the guess only as a set and the lookahead
+			// in order, so order the prefix only that far; a failed round
+			// completes the sort before the next selectTop reorders chi.
+			splitTail(chi[:need], scores.gamma, mbar, s.tailBuf)
+			sorted, split = need, true
 		}
 		// allowedBuf stays all-false between rounds and calls: only the
 		// guessed prefix is marked, and unmarked again below, so a guess
@@ -75,7 +83,81 @@ func (s *Solver) guessVerifyScored(tab *explain.ScoreTable, scores segmentScores
 		if s.verified(res, scores, chi, mbar) {
 			return res, rounds
 		}
+		if split {
+			sortIDsByGamma(chi[:mbar], scores.gamma)
+		}
 		mbar *= 2
+	}
+}
+
+// splitTail moves the last len(ids)−keep entries of ids' stable
+// descending-γ order to ids[keep:], in that order, and leaves the others
+// in ids[:keep] in their current relative order. Every entry kept comes
+// before every entry moved in that order, and entries of equal γ keep
+// their relative order across the split, so a stable sort of ids[:keep]
+// afterwards leaves ids exactly as sortIDsByGamma(ids) would. tail is
+// scratch with room for the moved entries. O(len(ids)·(len(ids)−keep)),
+// and allocation-free.
+//
+//tsexplain:hotpath
+func splitTail(ids []int, gamma []float64, keep int, tail []int) {
+	k := len(ids) - keep
+	if k <= 0 {
+		return
+	}
+	tail = tail[:k]
+	// Scan in order, keeping in tail the positions of the k last entries
+	// seen so far, last first. A later entry of equal γ comes after an
+	// earlier one, so it displaces on ≤.
+	n := 0
+	for p, id := range ids {
+		g := gamma[id]
+		if n == k {
+			if g > gamma[ids[tail[k-1]]] {
+				continue
+			}
+		} else {
+			n++
+		}
+		j := n - 1
+		for ; j > 0 && g <= gamma[ids[tail[j-1]]]; j-- {
+			tail[j] = tail[j-1]
+		}
+		tail[j] = p
+	}
+	// Candidate ids are ≥ 0: mark the moved slots, compact the rest in
+	// order, and put the moved entries behind them, last entry last.
+	for j, p := range tail {
+		tail[j], ids[p] = ids[p], -1
+	}
+	w := 0
+	for _, id := range ids {
+		if id >= 0 {
+			ids[w] = id
+			w++
+		}
+	}
+	for j, id := range tail {
+		ids[len(ids)-1-j] = id
+	}
+}
+
+// sortIDsByGamma stably sorts ids by descending gamma[id] with an
+// insertion sort. It allocates nothing, and yields the permutation any
+// stable sort under the same comparison yields, sort.SliceStable's
+// included, as long as no γ is NaN. The prefix it sorts is the guess plus
+// its lookahead (m̄ + m ids), so the quadratic worst case stays small.
+//
+//tsexplain:hotpath
+func sortIDsByGamma(ids []int, gamma []float64) {
+	for i := 1; i < len(ids); i++ {
+		id := ids[i]
+		g := gamma[id]
+		j := i
+		for ; j > 0 && g > gamma[ids[j-1]]; j-- {
+			ids[j] = ids[j-1]
+		}
+		ids[j] = id
 	}
 }
 

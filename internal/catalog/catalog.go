@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -174,6 +175,22 @@ func (c *Catalog) lockFor(name string) *sync.Mutex {
 // path returns the dataset's directory.
 func (c *Catalog) path(name string) string { return filepath.Join(c.dir, name) }
 
+// finiteMeasure rejects a relation whose measure column holds a NaN or
+// ±Inf. Such a value poisons every aggregate and score it enters (a NaN
+// difference score hides the slices around it) and cannot be encoded in
+// a JSON answer. Lines are numbered as ReadCSV's errors number them: the
+// header is line 1 and each record the next line. Range-bin source
+// columns are not checked — a NaN there falls into its own bin.
+func finiteMeasure(rel *relation.Relation, col string) error {
+	mi := rel.MeasureIndex(col)
+	for row := 0; row < rel.NumRows(); row++ {
+		if v := rel.MeasureValue(mi, row); math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("catalog: CSV line %d, column %q: measure %v is not finite", row+2, col, v)
+		}
+	}
+	return nil
+}
+
 // Create validates the manifest, parses the CSV through it (the parse IS
 // the validation: unknown columns, bad numerics, and inconsistent rows
 // all fail here, before anything touches disk), and writes the dataset
@@ -188,6 +205,9 @@ func (c *Catalog) Create(m Manifest, csvSrc io.Reader) (*relation.Relation, erro
 	}
 	rel, err := relation.ReadCSV(csvSrc, m.Spec())
 	if err != nil {
+		return nil, err
+	}
+	if err := finiteMeasure(rel, m.MeasureCol); err != nil {
 		return nil, err
 	}
 	if rel.NumTimestamps() < 2 {

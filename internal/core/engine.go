@@ -508,7 +508,8 @@ func (e *Engine) FilteredCount() int { return e.filtered }
 
 // MemoryFootprint estimates the engine's heap cost in bytes: the
 // candidate universe's series arenas, the Cascading Analysts score table
-// as currently built, plus the per-segment explanation cache's triangle.
+// as currently built, the per-segment explanation cache's triangle, and
+// the variance calculator's caches once an explain created it.
 // Solves build the table lazily and the approximate path swaps it per
 // round, so the figure changes with use; the serving layer's registry
 // re-reads it after every request that drives the engine to enforce a
@@ -525,6 +526,9 @@ func (e *Engine) MemoryFootprint() int64 {
 	b += int64(len(e.allowed)) + int64(len(e.firstKeep))*8
 	if e.exp != nil {
 		b += e.exp.ScoreTableBytes()
+	}
+	if e.vc != nil {
+		b += e.vc.Bytes()
 	}
 	return b
 }

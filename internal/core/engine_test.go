@@ -246,8 +246,9 @@ func TestFilterDropsTinySlices(t *testing.T) {
 }
 
 // TestMemoryFootprintChargesScoreTable checks the Cascading Analysts
-// score table is charged once a solve has built it, and that building it
-// is the only change to the footprint an explain makes.
+// score table is charged once a solve has built it, and that it and the
+// variance calculator's caches are the only change to the footprint an
+// explain makes.
 func TestMemoryFootprintChargesScoreTable(t *testing.T) {
 	rel := threePhase(t, 60, []int{20, 40})
 	for _, opts := range []Options{{K: 2}, {K: 2, FilterRatio: 0.4}, {K: 2, Approx: ApproxOptions{Enabled: true}}} {
@@ -270,9 +271,12 @@ func TestMemoryFootprintChargesScoreTable(t *testing.T) {
 			t.Fatalf("filter %g: table charges %d bytes, below its %d-byte value rows", opts.FilterRatio, tab.Bytes(), min)
 		}
 		built := eng.MemoryFootprint()
-		if built-unsolved != tab.Bytes() {
-			t.Errorf("filter %g: footprint grew %d → %d with a %d-byte table: the table is not what changed",
-				opts.FilterRatio, unsolved, built, tab.Bytes())
+		if eng.vc == nil || eng.vc.Bytes() == 0 {
+			t.Fatalf("filter %g: the explain left no charged variance calculator", opts.FilterRatio)
+		}
+		if built-unsolved != tab.Bytes()+eng.vc.Bytes() {
+			t.Errorf("filter %g: footprint grew %d → %d with a %d-byte table and %d bytes of variance caches: they are not what changed",
+				opts.FilterRatio, unsolved, built, tab.Bytes(), eng.vc.Bytes())
 		}
 		if rest := built - tab.Bytes(); rest < eng.Universe().ApproxBytes() {
 			t.Errorf("filter %g: footprint %d does not cover universe (%d) plus table (%d)",

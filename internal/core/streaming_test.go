@@ -302,3 +302,123 @@ func TestIncrementalAppendMatchesFromScratch(t *testing.T) {
 		})
 	}
 }
+
+// TestIncrementalAppendGivesLeafAChild streams a workload in which an
+// append gives an existing leaf of the solve's adjacency a child, and
+// checks every update bit for bit against an engine built from scratch.
+//
+// TX is large enough to pass the support filter, but each of its five
+// counties stays below it. With the filter on, the score table's
+// adjacency is pruned to the survivors' ancestors, so TX is a leaf there.
+// On day 35 a new county t6 arrives in TX with enough mass to pass: the
+// survivor set changes, the table is rebuilt, and TX gains the child
+// TX & t6. With the filter off the table reads the universe's full
+// adjacency, where leaves are structural (a node below β̄ always has
+// children), so the same append only adds a child to TX, an existing
+// internal node; the case still checks the refreshed leaf bits and the
+// results against a fresh build. From day 37 a tiny county t7 adds
+// candidates that fail the filter, so the filtered table survives that
+// append and only refreshes.
+func TestIncrementalAppendGivesLeafAChild(t *testing.T) {
+	day := func(d int) (ts []string, dims [][]string, meas [][]float64) {
+		label := fmt.Sprintf("d%03d", d)
+		add := func(state, county string, v float64) {
+			ts = append(ts, label)
+			dims = append(dims, []string{state, county})
+			meas = append(meas, []float64{v})
+		}
+		add("NY", "kings", 1000+20*float64(d))
+		add("NY", "queens", 500+5*float64(d%7))
+		for c := 1; c <= 5; c++ {
+			add("TX", fmt.Sprintf("t%d", c), 10+float64((d+c)%3))
+		}
+		if d >= 35 {
+			add("TX", "t6", 400+30*float64(d-35))
+		}
+		if d >= 37 {
+			// Too small to pass: new candidates the surviving table does
+			// not list, so the append refreshes it in place.
+			add("TX", "t7", 1)
+		}
+		return
+	}
+	q := Query{Measure: "cases", Agg: relation.Sum, ExplainBy: []string{"state", "county"}}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"filter", Options{FilterRatio: 0.02, MaxOrder: 2, UseGuessVerify: true}},
+		{"nofilter", Options{MaxOrder: 2, UseGuessVerify: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rb := &replayBuilder{}
+			for d := 0; d < 30; d++ {
+				rb.append(day(d))
+			}
+			inc, _, err := NewIncremental(rb.relation(t), q, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			txLeaf := func() bool {
+				eng := inc.Engine()
+				tx, err := relation.NewConjunction(eng.Universe().Relation(), map[string]string{"state": "TX"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				id, ok := eng.Universe().Lookup(tx)
+				if !ok {
+					t.Fatal("TX is not a candidate")
+				}
+				leaves := eng.Explainer().ScoreTable().Leaves()
+				return leaves[id/64]&(1<<(id%64)) != 0
+			}
+			if got, want := txLeaf(), tc.opts.FilterRatio > 0; got != want {
+				t.Fatalf("before the append TX is a leaf = %v, want %v", got, want)
+			}
+			for d := 30; d < 40; d++ {
+				ts, dims, meas := day(d)
+				rb.append(ts, dims, meas)
+				before := captureScoreTable(inc.Engine())
+				res, err := inc.AppendRows(ts, dims, meas)
+				if err != nil {
+					t.Fatalf("day %d: %v", d, err)
+				}
+				ctx := fmt.Sprintf("day %d", d)
+				sameScoreTable(t, ctx, inc.Engine(), before)
+				sameLeaves(t, ctx, inc.Engine())
+				fresh, err := NewEngine(rb.relation(t), q, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Explain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, ctx, res, want)
+				if d >= 35 && txLeaf() {
+					t.Fatalf("%s: TX is still a leaf after t6 arrived", ctx)
+				}
+			}
+		})
+	}
+}
+
+// sameLeaves asserts the engine's score table carries the leaf bits of a
+// table built fresh over the same universe and survivor set.
+func sameLeaves(t *testing.T, ctx string, eng *Engine) {
+	t.Helper()
+	var ids []int
+	if eng.allowed != nil {
+		ids = []int{}
+		for id, ok := range eng.allowed {
+			if ok {
+				ids = append(ids, id)
+			}
+		}
+	}
+	got := eng.Explainer().ScoreTable().Leaves()
+	want := explain.NewScoreTable(eng.Universe(), ids).Leaves()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: leaf bits %x, want %x", ctx, got, want)
+	}
+}

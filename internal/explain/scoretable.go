@@ -37,6 +37,13 @@ type ScoreTable struct {
 	rowOf  []int32
 	kidOff []int32
 	kidIDs []uint32
+
+	// leaves is a bitmap over candidate ids: bit id is set when the node
+	// has no children along any dimension in the adjacency ChildrenOf
+	// reads. The Cascading Analysts DP folds such a child into its
+	// knapsack without recursing. Refresh rebuilds it, so it always
+	// describes the adjacency as the universe stands.
+	leaves []uint64
 }
 
 // NewScoreTable builds the table for the listed candidates of u. ids must
@@ -52,6 +59,7 @@ func NewScoreTable(u *Universe, ids []int) *ScoreTable {
 	if len(ids) < u.NumCandidates() {
 		tb.pruneAdjacency()
 	}
+	tb.buildLeaves()
 	return tb
 }
 
@@ -98,19 +106,56 @@ func (tb *ScoreTable) pruneAdjacency() {
 // the listed candidates can reach: the candidate IDs extending node
 // nodeID (-1 for the root) by one predicate over dimension dim, ascending.
 func (tb *ScoreTable) ChildrenOf(nodeID, dim int) []uint32 {
+	if dim >= len(tb.u.dimPos) || tb.u.dimPos[dim] < 0 {
+		return nil
+	}
+	return tb.kidsAt(nodeID, int(tb.u.dimPos[dim]))
+}
+
+// kidsAt returns node's children along explain-by position p in the
+// adjacency the table reads; node is a candidate id, or −1 for the root.
+func (tb *ScoreTable) kidsAt(node, p int) []uint32 {
 	if tb.rowOf == nil {
-		return tb.u.ChildrenOf(nodeID, dim)
+		byPos := tb.u.childrenFlat[node+1]
+		if byPos == nil {
+			return nil
+		}
+		return byPos[p]
 	}
-	if nodeID+1 >= len(tb.rowOf) || dim >= len(tb.u.dimPos) {
+	if node+1 >= len(tb.rowOf) || tb.rowOf[node+1] < 0 {
 		return nil
 	}
-	r, pos := tb.rowOf[nodeID+1], tb.u.dimPos[dim]
-	if r < 0 || pos < 0 {
-		return nil
-	}
-	i := int(r)*len(tb.u.explainBy) + int(pos)
+	i := int(tb.rowOf[node+1])*len(tb.u.explainBy) + p
 	return tb.kidIDs[tb.kidOff[i]:tb.kidOff[i+1]]
 }
+
+// buildLeaves (re)builds the leaf bitmap over every candidate of u.
+func (tb *ScoreTable) buildLeaves() {
+	n := tb.u.NumCandidates()
+	words := (n + 63) / 64
+	if cap(tb.leaves) < words {
+		tb.leaves = make([]uint64, words)
+	} else {
+		tb.leaves = tb.leaves[:words]
+		clear(tb.leaves)
+	}
+	P := len(tb.u.explainBy)
+	for id := 0; id < n; id++ {
+		leaf := true
+		for p := 0; p < P && leaf; p++ {
+			leaf = len(tb.kidsAt(id, p)) == 0
+		}
+		if leaf {
+			tb.leaves[id>>6] |= 1 << (id & 63)
+		}
+	}
+}
+
+// Leaves returns the leaf bitmap: bit id (word id/64, bit id%64) is set
+// when candidate id has no children along any dimension in the adjacency
+// ChildrenOf reads. It covers every candidate of the universe as of the
+// build or the last Refresh, and is shared with the table.
+func (tb *ScoreTable) Leaves() []uint64 { return tb.leaves }
 
 // growAllowed sizes the membership bitmap to u's candidate count, marking
 // the listed ids. Candidates registered by an append after the build are
@@ -181,13 +226,17 @@ func growRows(buf []float64, keep, T, w int) []float64 {
 // (Universe.Append) without changing the listed set: rows from changedFrom
 // on are rewritten from the active series, new rows are appended, and
 // earlier rows — whose series values the append left untouched — are
-// kept. The cost is O(len(IDs()) · (T − changedFrom)).
+// kept. The leaf bitmap is rebuilt over the grown universe: a table that
+// lists every candidate reads the live adjacency, which the append may
+// have extended. The cost is O(len(IDs()) · (T − changedFrom)) plus
+// O(NumCandidates · len(ExplainBy)) for the bitmap.
 func (tb *ScoreTable) Refresh(changedFrom int) {
 	if changedFrom > tb.rows {
 		changedFrom = tb.rows
 	}
 	tb.growAllowed()
 	tb.fill(changedFrom)
+	tb.buildLeaves()
 }
 
 // IDs returns the listed candidate ids, ascending. The slice is shared
@@ -226,9 +275,10 @@ func (tb *ScoreTable) Lists(allowed []bool) bool {
 }
 
 // Bytes is the table's heap footprint: the value rows (with any append
-// headroom), the id list, the membership bitmap and the pruned adjacency.
+// headroom), the id list, the membership bitmap, the pruned adjacency and
+// the leaf bitmap.
 func (tb *ScoreTable) Bytes() int64 {
-	return 8*int64(cap(tb.sum)+cap(tb.count)+len(tb.ids)) + int64(len(tb.allowed)) +
+	return 8*int64(cap(tb.sum)+cap(tb.count)+len(tb.ids)+cap(tb.leaves)) + int64(len(tb.allowed)) +
 		4*int64(len(tb.rowOf)+cap(tb.kidOff)+cap(tb.kidIDs))
 }
 

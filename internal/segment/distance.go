@@ -88,114 +88,75 @@ func discount(r int) float64 {
 	return 1 / math.Log2(float64(r)+2)
 }
 
-// dcg computes the discounted cumulative gain of the ranked explanation
-// list expl (derived on its home segment) against the target segment
-// [c, t] (Eq. 3): relevance is γ(E, target), rectified to zero when E's
-// change effect differs between its home segment and the target
-// (Table 2). rectify=false disables rectification, which the ablation
-// bench uses to show the rectification matters.
-func (e *Explainer) dcg(expl []cascading.Picked, c, t int, rectify bool) float64 {
-	var sum float64
-	metric := e.solver.Metric()
-	for r, p := range expl {
-		gamma, effect := e.u.Gamma(p.ID, c, t, metric)
-		if rectify && effect != p.Effect {
-			gamma = 0
-		}
-		sum += gamma * discount(r)
-	}
-	return sum
-}
-
-// idealDCG returns DCG(target, E*_m(target)) (Eq. 4), cached per segment:
-// a segment's own explanations need no rectification and their γ over the
-// segment is already in the ranked list.
-func (e *Explainer) idealDCG(c, t int) float64 {
-	key := segKey(c, t)
-	if v, ok := e.idealCache.get(key); ok {
-		return v
-	}
-	target := e.TopM(c, t)
+// idealDCG returns DCG(target, E*_m(target)) (Eq. 4) for a segment's
+// own result: its explanations need no rectification and their γ over the
+// segment is already in the ranked list, so it is a sum of at most m
+// terms.
+func idealDCG(target *cascading.Result) float64 {
 	var sum float64
 	for r, p := range target.Explanations {
 		sum += p.Gamma * discount(r)
 	}
-	e.idealCache.put(t, key, sum)
 	return sum
 }
 
-// ndcg computes NDCG(target, E*_m(source)) (Eq. 5): how well the source
-// segment's explanations explain the target segment. The result is
-// clamped to [0, 1]; a target whose own ideal DCG is zero (no slice moves
-// at all) is defined to be perfectly explained by anything.
-func (e *Explainer) ndcg(targetC, targetT int, source *cascading.Result, rectify bool) float64 {
-	ideal := e.idealDCG(targetC, targetT)
-	if ideal == 0 {
-		return 1
-	}
-	got := e.dcg(source.Explanations, targetC, targetT, rectify)
-	if got >= ideal {
-		return 1
-	}
-	return got / ideal
+// side is one segment of an explanation distance: its endpoints, its top
+// explanations and their ideal DCG, and obj, the segment's index in the
+// object list when it is an object, or −1 when it is the centroid of the
+// Weighted call in progress. obj selects the γ memo relevance reads from.
+type side struct {
+	c, t  int
+	res   *cascading.Result
+	ideal float64
+	obj   int
 }
 
-// Dist computes the explanation distance between segments [ac, at] and
-// [bc, bt] under the given kind's directionality (Eqs. 6, 8, 9 and their
-// squared variants). For Dist1/Dist2 the first segment plays the centroid
-// role, matching Eq. 8/9. The result lies in [0, 1].
-func (e *Explainer) Dist(kind VarianceKind, ac, at, bc, bt int) float64 {
-	return e.dist(kind, ac, at, bc, bt, true)
-}
-
-func (e *Explainer) dist(kind VarianceKind, ac, at, bc, bt int, rectify bool) float64 {
-	return e.distPrepared(kind,
-		ac, at, e.TopM(ac, at), e.idealDCG(ac, at),
-		bc, bt, e.TopM(bc, bt), e.idealDCG(bc, bt),
-		rectify)
-}
-
-// ndcgPrepared is ndcg with the target's ideal DCG already in hand, so
-// the hot loops of the variance calculator avoid every map lookup.
-func (e *Explainer) ndcgPrepared(targetC, targetT int, targetIdeal float64, source *cascading.Result, rectify bool) float64 {
-	if targetIdeal == 0 {
-		return 1
-	}
-	got := e.dcg(source.Explanations, targetC, targetT, rectify)
-	if got >= targetIdeal {
-		return 1
-	}
-	return got / targetIdeal
-}
-
-// distPrepared is dist with both segments' top explanations and ideal
-// DCGs pre-fetched.
-func (e *Explainer) distPrepared(kind VarianceKind,
-	ac, at int, a *cascading.Result, aIdeal float64,
-	bc, bt int, b *cascading.Result, bIdeal float64,
-	rectify bool) float64 {
-	switch kind {
+// dist is the explanation distance between segments a and b in the
+// direction the calculator's design takes (Eqs. 6, 8, 9 and their squared
+// variants). For Dist1/Dist2, a plays the centroid role, matching Eq.
+// 8/9. The result lies in [0, 1].
+//
+//tsexplain:hotpath
+func (vc *VarCalc) dist(a, b *side) float64 {
+	switch vc.kind {
 	case Tse, AllPair:
-		nab := e.ndcgPrepared(ac, at, aIdeal, b, rectify) // b's expl explain a
-		nba := e.ndcgPrepared(bc, bt, bIdeal, a, rectify) // a's expl explain b
+		nab := vc.ndcg(a, b.res) // b's expl explain a
+		nba := vc.ndcg(b, a.res) // a's expl explain b
 		return 1 - (nab+nba)/2
 	case STse, SAllPair:
-		nab := e.ndcgPrepared(ac, at, aIdeal, b, rectify)
-		nba := e.ndcgPrepared(bc, bt, bIdeal, a, rectify)
+		nab := vc.ndcg(a, b.res)
+		nba := vc.ndcg(b, a.res)
 		return 1 - (nab*nab+nba*nba)/2
 	case Dist1:
 		// How well the object's explanations explain the centroid (a).
-		return 1 - e.ndcgPrepared(ac, at, aIdeal, b, rectify)
+		return 1 - vc.ndcg(a, b.res)
 	case SDist1:
-		n := e.ndcgPrepared(ac, at, aIdeal, b, rectify)
+		n := vc.ndcg(a, b.res)
 		return 1 - n*n
 	case Dist2:
 		// How well the centroid's explanations explain the object (b).
-		return 1 - e.ndcgPrepared(bc, bt, bIdeal, a, rectify)
+		return 1 - vc.ndcg(b, a.res)
 	case SDist2:
-		n := e.ndcgPrepared(bc, bt, bIdeal, a, rectify)
+		n := vc.ndcg(b, a.res)
 		return 1 - n*n
 	default:
 		panic("segment: invalid VarianceKind")
 	}
+}
+
+// ndcg computes NDCG(target, E*_m(source)) (Eq. 5): how well the source
+// segment's explanations explain the target segment, from the γ memo. The
+// result is clamped to [0, 1]; a target whose own ideal DCG is zero (no
+// slice moves at all) is defined to be perfectly explained by anything.
+//
+//tsexplain:hotpath
+func (vc *VarCalc) ndcg(target *side, source *cascading.Result) float64 {
+	if target.ideal == 0 {
+		return 1
+	}
+	got := vc.memo.dcg(target, source.Explanations, vc.rectify)
+	if got >= target.ideal {
+		return 1
+	}
+	return got / target.ideal
 }

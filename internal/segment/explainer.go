@@ -39,8 +39,7 @@ type Explainer struct {
 	useGuess  bool
 	guessInit int
 
-	cache      *segCache
-	idealCache *endCache
+	cache *segCache
 
 	// stats accumulate across calls for the latency-breakdown experiment.
 	caSolves int
@@ -74,15 +73,14 @@ func NewExplainer(u *explain.Universe, cfg ExplainerConfig) *Explainer {
 		gi = 30
 	}
 	return &Explainer{
-		u:          u,
-		solver:     cascading.NewSolver(u, cfg.Metric, m),
-		m:          m,
-		allowed:    cfg.Allowed,
-		ids:        selectableIDs(u, cfg.Allowed),
-		useGuess:   cfg.UseGuessVerify,
-		guessInit:  gi,
-		cache:      newSegCache(u.NumTimestamps()),
-		idealCache: newEndCache(),
+		u:         u,
+		solver:    cascading.NewSolver(u, cfg.Metric, m),
+		m:         m,
+		allowed:   cfg.Allowed,
+		ids:       selectableIDs(u, cfg.Allowed),
+		useGuess:  cfg.UseGuessVerify,
+		guessInit: gi,
+		cache:     newSegCache(u.NumTimestamps()),
 	}
 }
 
@@ -162,7 +160,6 @@ func (e *Explainer) Stats() (solves int, caTime time.Duration, rounds int) {
 // segments that touch newly arrived points.
 func (e *Explainer) ResetCache() {
 	e.cache.reset()
-	e.idealCache.reset()
 	e.caSolves, e.caTime, e.caRounds = 0, 0, 0
 }
 
@@ -172,7 +169,6 @@ func (e *Explainer) ResetCache() {
 // are recomputed while the unchanged prefix stays cached.
 func (e *Explainer) InvalidateFrom(p int) {
 	e.cache.invalidateFrom(p)
-	e.idealCache.invalidateFrom(p)
 }
 
 // segKeyShift sizes the packed (c, t) cache key; series up to 2^21 points
@@ -188,14 +184,7 @@ func segKey(c, t int) int64 { return int64(c)<<segKeyShift | int64(t) }
 // headroom lasts; past that, entries migrate verbatim into a fresh cache
 // allocated with new headroom.
 func (e *Explainer) Grow(n int) {
-	if e.cache.grow(n) {
-		return
-	}
-	next := newSegCacheCap(n, n+n/2)
-	e.cache.forEach(func(c, t int, res *cascading.Result) {
-		next.put(c, t, *res)
-	})
-	e.cache = next
+	e.cache = e.cache.resize(n)
 }
 
 // Rebind points the explainer at a new universe while keeping the cached
@@ -214,7 +203,6 @@ func (e *Explainer) Rebind(u *explain.Universe) {
 	remap := func(c, t int, res *cascading.Result) bool {
 		remapped, ok := remapResult(res, old, u)
 		if !ok {
-			e.idealCache.remove(segKey(c, t))
 			return false
 		}
 		*res = *remapped

@@ -153,10 +153,10 @@ func TestPrewarmParallelMatchesSequential(t *testing.T) {
 		cfg := ExplainerConfig{M: 2, UseGuessVerify: guess, GuessInit: 1}
 		seq := newExplainer(t, u, cfg)
 		par := newExplainer(t, u, cfg)
-		if n := par.PrewarmParallel(segs, 3); n != len(segs) {
+		if n := par.PrewarmParallelCancel(segs, 3, nil); n != len(segs) {
 			t.Fatalf("prewarm solved %d of %d segments", n, len(segs))
 		}
-		if n := par.PrewarmParallel(segs, 3); n != 0 {
+		if n := par.PrewarmParallelCancel(segs, 3, nil); n != 0 {
 			t.Errorf("second prewarm re-solved %d cached segments", n)
 		}
 		for _, s := range segs {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/cascading"
 )
 
-// PrewarmParallel computes and caches the top-m explanations for every
-// given segment using worker goroutines, each with its own Cascading
+// PrewarmParallelCancel computes and caches the top-m explanations for
+// every given segment using worker goroutines, each with its own Cascading
 // Analysts solver (solvers reuse scratch buffers and are not safe to
 // share) reading the explainer's one score table. The paper's engine is
 // single-threaded; this is the natural Go extension for multi-core
@@ -20,11 +20,7 @@ import (
 // summed per-worker solve time is added to the explainer's cascading
 // counter, so the Figure 15 breakdown reports CPU time when parallelism
 // is on.
-func (e *Explainer) PrewarmParallel(segs [][2]int, workers int) int {
-	return e.PrewarmParallelCancel(segs, workers, nil)
-}
-
-// PrewarmParallelCancel is PrewarmParallel with a cancellation hook:
+//
 // cancel (when non-nil) is polled before each segment solve, and a
 // non-nil return makes every worker stop picking up new segments.
 // Segments solved before the cancellation are still cached — the cache
@@ -108,7 +104,7 @@ func (e *Explainer) PrewarmParallelCancel(segs [][2]int, workers int, cancel fun
 // SegmentPairs enumerates every segment the segmentation DP will need
 // over the given candidate cut positions: all position pairs plus the
 // unit objects in between (the objects of Eq. 7). It is the work list
-// PrewarmParallel consumes.
+// PrewarmParallelCancel consumes.
 func SegmentPairs(positions []int, n int, unitObjects bool) [][2]int {
 	var out [][2]int
 	for i := 0; i < len(positions); i++ {

@@ -90,11 +90,11 @@ func TestUnitObjectVarianceIsZero(t *testing.T) {
 func TestDistSelfIsZeroAndSymmetric(t *testing.T) {
 	u := twoPhase(t, 20, 10)
 	e := newExplainer(t, u, ExplainerConfig{M: 2})
-	if got := e.Dist(Tse, 0, 5, 0, 5); got != 0 {
+	if got := dist(e, Tse, 0, 5, 0, 5, true); got != 0 {
 		t.Errorf("self distance = %g, want 0", got)
 	}
-	d1 := e.Dist(Tse, 0, 5, 12, 18)
-	d2 := e.Dist(Tse, 12, 18, 0, 5)
+	d1 := dist(e, Tse, 0, 5, 12, 18, true)
+	d2 := dist(e, Tse, 12, 18, 0, 5, true)
 	if math.Abs(d1-d2) > 1e-12 {
 		t.Errorf("tse distance asymmetric: %g vs %g", d1, d2)
 	}
@@ -110,7 +110,7 @@ func TestDistBounds(t *testing.T) {
 		c := rng.Intn(28)
 		d := c + 1 + rng.Intn(29-c)
 		for _, kind := range AllVarianceKinds() {
-			got := e.Dist(kind, a, b, c, d)
+			got := dist(e, kind, a, b, c, d, true)
 			if got < -1e-12 || got > 1+1e-12 || math.IsNaN(got) {
 				t.Fatalf("%v dist([%d,%d],[%d,%d]) = %g out of [0,1]", kind, a, b, c, d, got)
 			}
@@ -122,11 +122,11 @@ func TestDistOppositePhasesIsLarge(t *testing.T) {
 	u := twoPhase(t, 30, 15)
 	e := newExplainer(t, u, ExplainerConfig{M: 1})
 	// Phase 1 is explained by a, phase 2 by b: distance should be large.
-	d := e.Dist(Tse, 0, 14, 16, 29)
+	d := dist(e, Tse, 0, 14, 16, 29, true)
 	if d < 0.5 {
 		t.Errorf("cross-phase distance = %g, want large", d)
 	}
-	within := e.Dist(Tse, 0, 7, 7, 14)
+	within := dist(e, Tse, 0, 7, 7, 14, true)
 	if within > 0.2 {
 		t.Errorf("within-phase distance = %g, want small", within)
 	}
@@ -467,8 +467,8 @@ func TestRectificationMatters(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newExplainer(t, u, ExplainerConfig{M: 1})
-	rectified := e.dist(Tse, 0, 9, 11, 20, true)
-	raw := e.dist(Tse, 0, 9, 11, 20, false)
+	rectified := dist(e, Tse, 0, 9, 11, 20, true)
+	raw := dist(e, Tse, 0, 9, 11, 20, false)
 	if rectified <= raw {
 		t.Errorf("rectified dist %g should exceed unrectified %g across an effect flip",
 			rectified, raw)

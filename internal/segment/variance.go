@@ -12,8 +12,11 @@ import (
 // the variance averages the explanation distance between each object and
 // the centroid (or between all object pairs for the AllPair designs).
 //
-// Two performance structures keep the quantity cheap at scale:
+// Four performance structures keep the quantity cheap at scale:
 //
+//   - Weighted values live in a flat generation-tagged triangle;
+//   - the γ memo scores each relevance a distance reads once per target
+//     (see gammaMemo);
 //   - the AllPair designs build a 2-D prefix-sum table over the unit-pair
 //     distance matrix once, making any segment's pair sum O(1);
 //   - SetObjectPositions coarsens objects to sketch intervals, the phase-2
@@ -25,7 +28,10 @@ type VarCalc struct {
 	// ablation study disables it.
 	rectify bool
 
-	cache *endCache
+	// cache holds Weighted per segment [a, b].
+	cache *triCache[float64]
+	// memo caches the relevance γ(target, id) the distance loop reads.
+	memo gammaMemo
 
 	// objPos, when non-nil, replaces unit objects with the intervals
 	// between consecutive positions (sketch intervals).
@@ -47,7 +53,8 @@ type VarCalc struct {
 
 // NewVarCalc returns a variance calculator over the explainer.
 func NewVarCalc(e *Explainer, kind VarianceKind) *VarCalc {
-	return &VarCalc{e: e, kind: kind, rectify: true, cache: newEndCache()}
+	n := e.u.NumTimestamps()
+	return &VarCalc{e: e, kind: kind, rectify: true, cache: newTriCacheCap[float64](n, n)}
 }
 
 // SetRectify toggles the rectified-relevance rule (Table 2). It is on by
@@ -57,41 +64,6 @@ func (vc *VarCalc) SetRectify(on bool) {
 	vc.cache.reset()
 	vc.pairPrefix = nil
 	vc.objRes, vc.objIdeal = nil, nil
-}
-
-// objPrepared returns the cached top explanations and ideal DCG of the
-// object starting at bound index oi of the global object list.
-func (vc *VarCalc) objPrepared(oi, oc, ot int) (*cascading.Result, float64) {
-	count := vc.e.u.NumTimestamps() - 1
-	if vc.objPos != nil {
-		count = len(vc.objPos) - 1
-	}
-	if len(vc.objRes) < count {
-		// The series grew since the caches were built (streaming append);
-		// keep the prefix, add empty slots for the new objects.
-		grownRes := make([]*cascading.Result, count)
-		copy(grownRes, vc.objRes)
-		grownIdeal := make([]float64, count)
-		copy(grownIdeal, vc.objIdeal)
-		vc.objRes, vc.objIdeal = grownRes, grownIdeal
-	}
-	if r := vc.objRes[oi]; r != nil {
-		return r, vc.objIdeal[oi]
-	}
-	r := vc.e.TopM(oc, ot)
-	ideal := vc.e.idealDCG(oc, ot)
-	vc.objRes[oi] = r
-	vc.objIdeal[oi] = ideal
-	return r, ideal
-}
-
-// objIndexOf maps an object's start bound to its index in the global
-// object list.
-func (vc *VarCalc) objIndexOf(start int) int {
-	if vc.objPos == nil {
-		return start
-	}
-	return sort.SearchInts(vc.objPos, start)
 }
 
 // SetObjectPositions coarsens the objects of Eq. 7 from unit segments to
@@ -110,6 +82,7 @@ func (vc *VarCalc) SetObjectPositions(pos []int) {
 	vc.cache.reset()
 	vc.pairPrefix = nil
 	vc.objRes, vc.objIdeal = nil, nil
+	vc.memo.drop()
 }
 
 // HasObjectPositions reports whether the calculator currently coarsens
@@ -118,12 +91,13 @@ func (vc *VarCalc) HasObjectPositions() bool { return vc.objPos != nil }
 
 // InvalidateFrom drops every cached quantity that touches a position at
 // or after p: weighted variances of segments reaching p, per-object
-// caches of objects reaching p, and the AllPair prefix table. The
-// real-time extension calls this after an append so a VarCalc kept across
-// updates recomputes only the changed suffix — variances of committed
-// history stay cached.
+// caches of objects reaching p, the AllPair prefix table and the γ memo.
+// The real-time extension calls this after an append so a VarCalc kept
+// across updates recomputes only the changed suffix — variances of
+// committed history stay cached.
 func (vc *VarCalc) InvalidateFrom(p int) {
 	vc.cache.invalidateFrom(p)
+	vc.memo.drop()
 	for i := range vc.objRes {
 		if vc.objRes[i] == nil {
 			continue
@@ -143,6 +117,14 @@ func (vc *VarCalc) InvalidateFrom(p int) {
 // Explainer returns the underlying explainer.
 func (vc *VarCalc) Explainer() *Explainer { return vc.e }
 
+// Bytes is the heap footprint of what the calculator keeps across
+// explains: the Weighted cache, the γ memo, the AllPair prefix table and
+// the per-object caches.
+func (vc *VarCalc) Bytes() int64 {
+	return vc.cache.bytes(8) + vc.memo.bytes() +
+		8*int64(cap(vc.pairPrefix)) + 16*int64(cap(vc.objRes)) + 8*int64(len(vc.objPos))
+}
+
 // Kind returns the variance design in use.
 func (vc *VarCalc) Kind() VarianceKind { return vc.kind }
 
@@ -154,23 +136,64 @@ func (vc *VarCalc) Var(a, b int) float64 {
 	return vc.Weighted(a, b) / float64(b-a)
 }
 
-// objects returns the object boundaries covering [a, b]: consecutive
-// entries delimit one object. With unit objects that is a..b; with
-// coarsened objects it is the positions between a and b inclusive.
-func (vc *VarCalc) objects(a, b int) []int {
+// objectRange returns the objects covering [a, b] as the index range
+// [lo, hi) of the object list: with unit objects those are a..b−1; with
+// coarsened objects, the intervals between the positions in [a, b].
+func (vc *VarCalc) objectRange(a, b int) (lo, hi int) {
 	if vc.objPos == nil {
-		out := make([]int, b-a+1)
-		for i := range out {
-			out[i] = a + i
-		}
-		return out
+		return a, b
 	}
-	lo := sort.SearchInts(vc.objPos, a)
-	hi := sort.SearchInts(vc.objPos, b)
-	if hi < len(vc.objPos) && vc.objPos[hi] == b {
-		hi++
+	lo = sort.SearchInts(vc.objPos, a)
+	end := sort.SearchInts(vc.objPos, b)
+	if end < len(vc.objPos) && vc.objPos[end] == b {
+		end++
 	}
-	return vc.objPos[lo:hi]
+	return lo, max(lo, end-1)
+}
+
+// objectSide returns object oi (an index into the object list) as a side
+// of a distance. Its top explanations and ideal DCG are fetched once per
+// object and kept in the dense per-object caches.
+func (vc *VarCalc) objectSide(oi int) side {
+	oc, ot := oi, oi+1
+	if vc.objPos != nil {
+		oc, ot = vc.objPos[oi], vc.objPos[oi+1]
+	}
+	if oi >= len(vc.objRes) {
+		vc.growObjects()
+	}
+	r := vc.objRes[oi]
+	if r == nil {
+		r = vc.e.TopM(oc, ot)
+		vc.objRes[oi], vc.objIdeal[oi] = r, idealDCG(r)
+	}
+	return side{c: oc, t: ot, res: r, ideal: vc.objIdeal[oi], obj: oi}
+}
+
+// objectCount is the length of the object list.
+func (vc *VarCalc) objectCount() int {
+	if vc.objPos != nil {
+		return len(vc.objPos) - 1
+	}
+	return vc.e.u.NumTimestamps() - 1
+}
+
+// growObjects sizes the per-object caches to the current object list,
+// keeping their prefix: the series grew since they were built (a
+// streaming append).
+func (vc *VarCalc) growObjects() {
+	count := vc.objectCount()
+	vc.objRes = append(vc.objRes, make([]*cascading.Result, count-len(vc.objRes))...)
+	vc.objIdeal = append(vc.objIdeal, make([]float64, count-len(vc.objIdeal))...)
+}
+
+// prepareMemo readies the γ memo for the current universe and object
+// list, emptying it when either changed since it was filled.
+func (vc *VarCalc) prepareMemo() {
+	u, objs := vc.e.u, vc.objectCount()
+	if !vc.memo.valid(u, objs) {
+		vc.memo.reset(u, vc.e.solver.Metric(), objs, u.NumTimestamps())
+	}
 }
 
 // Weighted returns |P|·var(P), the quantity the segmentation objective
@@ -182,10 +205,10 @@ func (vc *VarCalc) Weighted(a, b int) float64 {
 	if b-a <= 1 {
 		return 0 // a single object is its own centroid
 	}
-	key := segKey(a, b)
-	if v, ok := vc.cache.get(key); ok {
-		return v
+	if v := vc.cache.get(a, b); v != nil {
+		return *v
 	}
+	vc.prepareMemo()
 	var total float64
 	switch vc.kind {
 	case AllPair, SAllPair:
@@ -195,23 +218,22 @@ func (vc *VarCalc) Weighted(a, b int) float64 {
 		// weighted by |P|. The centroid plays the first-argument role
 		// (Eq. 8/9 direction). The centroid's explanations and every
 		// object's are fetched once, so the loop is map-free.
-		bounds := vc.objects(a, b)
 		cRes := vc.e.TopM(a, b)
-		cIdeal := vc.e.idealDCG(a, b)
-		base := vc.objIndexOf(bounds[0])
+		cen := side{c: a, t: b, res: cRes, ideal: idealDCG(cRes), obj: -1}
+		vc.memo.center()
+		lo, hi := vc.objectRange(a, b)
 		var sum float64
-		for i := 0; i+1 < len(bounds); i++ {
-			oRes, oIdeal := vc.objPrepared(base+i, bounds[i], bounds[i+1])
-			sum += vc.e.distPrepared(vc.kind,
-				a, b, cRes, cIdeal,
-				bounds[i], bounds[i+1], oRes, oIdeal,
-				vc.rectify)
+		for oi := lo; oi < hi; oi++ {
+			o := vc.objectSide(oi)
+			sum += vc.dist(&cen, &o)
 		}
-		if len(bounds) > 1 {
-			total = float64(b-a) * sum / float64(len(bounds)-1)
+		if hi > lo {
+			total = float64(b-a) * sum / float64(hi-lo)
 		}
 	}
-	vc.cache.put(b, key, total)
+	// A streaming append may have grown the series since the last put.
+	vc.cache = vc.cache.resize(vc.e.u.NumTimestamps())
+	vc.cache.put(a, b, total)
 	return total
 }
 
@@ -222,18 +244,14 @@ func (vc *VarCalc) Weighted(a, b int) float64 {
 //tsexplain:hotpath
 func (vc *VarCalc) weightedAllPair(a, b int) float64 {
 	if vc.objPos != nil {
-		bounds := vc.objects(a, b)
-		base := vc.objIndexOf(bounds[0])
+		lo, hi := vc.objectRange(a, b)
 		var sum float64
 		var pairs int
-		for i := 0; i+1 < len(bounds); i++ {
-			iRes, iIdeal := vc.objPrepared(base+i, bounds[i], bounds[i+1])
-			for j := i + 1; j+1 < len(bounds); j++ {
-				jRes, jIdeal := vc.objPrepared(base+j, bounds[j], bounds[j+1])
-				sum += vc.e.distPrepared(vc.kind,
-					bounds[i], bounds[i+1], iRes, iIdeal,
-					bounds[j], bounds[j+1], jRes, jIdeal,
-					vc.rectify)
+		for i := lo; i < hi; i++ {
+			oi := vc.objectSide(i)
+			for j := i + 1; j < hi; j++ {
+				oj := vc.objectSide(j)
+				sum += vc.dist(&oi, &oj)
 				pairs++
 			}
 		}
@@ -265,10 +283,10 @@ func (vc *VarCalc) buildPairPrefix() {
 	pp := make([]float64, objs*objs)
 	for x := 0; x < objs; x++ {
 		row := pp[x*objs : (x+1)*objs]
-		xRes, xIdeal := vc.objPrepared(x, x, x+1)
+		xs := vc.objectSide(x)
 		for y := x + 1; y < objs; y++ {
-			yRes, yIdeal := vc.objPrepared(y, y, y+1)
-			row[y] = vc.e.distPrepared(vc.kind, x, x+1, xRes, xIdeal, y, y+1, yRes, yIdeal, vc.rectify)
+			ys := vc.objectSide(y)
+			row[y] = vc.dist(&xs, &ys)
 		}
 	}
 	// In-place 2-D prefix sums. The accumulation order (up, then left,

@@ -24,7 +24,7 @@ func TestAllPairPrefixMatchesDirect(t *testing.T) {
 			var pairs int
 			for x := a; x < b; x++ {
 				for y := x + 1; y < b; y++ {
-					sum += e.Dist(kind, x, x+1, y, y+1)
+					sum += dist(e, kind, x, x+1, y, y+1, true)
 					pairs++
 				}
 			}
@@ -68,8 +68,8 @@ func TestCoarseObjectsRecoverCut(t *testing.T) {
 	}
 	// Restore unit objects.
 	vc.SetObjectPositions(nil)
-	if got := len(vc.objects(0, 59)); got != 60 {
-		t.Errorf("unit objects after reset = %d bounds, want 60", got)
+	if lo, hi := vc.objectRange(0, 59); lo != 0 || hi != 59 {
+		t.Errorf("unit objects after reset = [%d, %d), want [0, 59)", lo, hi)
 	}
 }
 

@@ -133,9 +133,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusCreated, map[string]any{
 		"dataset":    manifest.Name,
 		"aliases":    manifest.Aliases,
 		"rows":       rel.NumRows(),
@@ -211,8 +209,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 	s.reg.dropLive(canon)
 	s.reg.replaceDataset(canon, nil)
 	s.met.catalogDeletes.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"deleted": canon})
+	writeJSON(w, http.StatusOK, map[string]any{"deleted": canon})
 }
 
 // appendRow is one NDJSON line of the append body: the time label, the
@@ -304,8 +301,7 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["top"] = top
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // overLimitErr maps a MaxBytesReader overflow anywhere in err's chain to

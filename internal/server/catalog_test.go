@@ -667,3 +667,67 @@ func TestCloseWaitsForSnapshotRefresh(t *testing.T) {
 		t.Fatalf("%d refreshes registered after Close, want 0", running)
 	}
 }
+
+// nanCSV is catalogTestCSV(30) with the measure of one NY row replaced by
+// NaN.
+func nanCSV(t *testing.T) string {
+	t.Helper()
+	csv := catalogTestCSV(30)
+	bad := strings.Replace(csv, "2021-03-05,NY,kings,10\n", "2021-03-05,NY,kings,NaN\n", 1)
+	if bad == csv {
+		t.Fatal("nanCSV: row to poison not found")
+	}
+	return bad
+}
+
+// TestCatalogUploadRejectsNonFiniteMeasure: a NaN measure would poison
+// every γ it enters and hide the slices around it, so the upload fails
+// closed with a 400 naming the line, and nothing is published.
+func TestCatalogUploadRejectsNonFiniteMeasure(t *testing.T) {
+	s := newCatalogServer(t, t.TempDir())
+	rec := upload(t, s, catalogTestManifest, nanCSV(t), false)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("NaN upload: %d: %s", rec.Code, rec.Body.String())
+	}
+	// Header is line 1, day 5's first row is record 13.
+	if body := rec.Body.String(); !strings.Contains(body, "line 14") || !strings.Contains(body, `\"cases\"`) {
+		t.Errorf("error does not name the line and column: %s", body)
+	}
+	if rec := get(t, s, "/api/explain?dataset=mydata"); rec.Code != http.StatusNotFound {
+		t.Errorf("rejected dataset is served: %d", rec.Code)
+	}
+	// An infinite measure fails the same way.
+	inf := strings.Replace(catalogTestCSV(30), "2021-03-07,CA,la,8\n", "2021-03-07,CA,la,+Inf\n", 1)
+	if rec := upload(t, s, catalogTestManifest, inf, false); rec.Code != http.StatusBadRequest {
+		t.Fatalf("+Inf upload: %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestNonEncodableAnswerIs500: a dataset placed in the data directory
+// without going through Create can still carry a NaN measure. Its answer
+// cannot be encoded as JSON, and the server must say so with a 500
+// instead of a 200 with an empty body.
+func TestNonEncodableAnswerIs500(t *testing.T) {
+	dir := t.TempDir()
+	ds := filepath.Join(dir, "mydata")
+	if err := os.MkdirAll(ds, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ds, "manifest.json"), []byte(catalogTestManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ds, "data.csv"), []byte(nanCSV(t)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newCatalogServer(t, dir)
+	rec := get(t, s, "/api/slice?dataset=mydata&expr=state=NY")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("slice over a NaN series: %d: %q", rec.Code, rec.Body.String())
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "NaN") {
+		t.Errorf("500 body = %q (%v), want a JSON error naming the NaN", rec.Body.String(), err)
+	}
+}

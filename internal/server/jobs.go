@@ -248,10 +248,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/api/jobs/"+j.ID)
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(j)
+	writeJSON(w, http.StatusAccepted, j)
 }
 
 // handleJobGet serves GET /api/jobs/{id}: the full record, including the
@@ -265,8 +263,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jobErr(err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(j)
+	writeJSON(w, http.StatusOK, j)
 }
 
 // handleJobList serves GET /api/jobs: every stored job, oldest first,
@@ -286,8 +283,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 		c.Result = nil
 		slim = append(slim, c)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"jobs": slim})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": slim})
 }
 
 // handleJobDelete serves DELETE /api/jobs/{id}. Deleting a queued job
@@ -302,8 +298,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jobErr(err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "deleted"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
 // jobErr maps store failures to HTTP statuses.

@@ -338,7 +338,6 @@ func errorCode(err error) int {
 // (no handler returns 200 with an empty body on bad input).
 func writeError(w http.ResponseWriter, err error) {
 	code := errorCode(err)
-	w.Header().Set("Content-Type", "application/json")
 	if code == http.StatusTooManyRequests {
 		// Derive Retry-After from the shard's observed service time when
 		// the shed carried one (see shard.retryAfterSeconds); a blind
@@ -351,16 +350,30 @@ func writeError(w http.ResponseWriter, err error) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 	}
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // httpError keeps the legacy explicit-status shape used by handlers that
 // classify their own errors.
 func httpError(w http.ResponseWriter, code int, err error) {
+	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeJSON answers v as JSON with the given status. It encodes into a
+// buffer first, so a value JSON cannot carry (a NaN or ±Inf that reached
+// a response) answers 500 naming the encoder's error instead of a 2xx
+// with a truncated or empty body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		// An error string always encodes, so this recursion ends.
+		writeJSON(w, http.StatusInternalServerError,
+			map[string]string{"error": "encoding response: " + err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client left; nothing to answer
 }
 
 // builtinNames lists the compiled-in demo datasets.
@@ -613,8 +626,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 		catalogNames = s.reg.cat.Names()
 		names = append(names, catalogNames...)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"datasets": names,
 		"builtin":  builtinNames,
 		"catalog":  catalogNames,
@@ -787,8 +799,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if degraded {
 		p = p.degraded() // report the mode actually served
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(buildExplainResponse(p, res, degraded))
+	writeJSON(w, http.StatusOK, buildExplainResponse(p, res, degraded))
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -816,8 +827,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"dataset": p.dataset, "attributes": scores})
+	writeJSON(w, http.StatusOK, map[string]any{"dataset": p.dataset, "attributes": scores})
 }
 
 func (s *Server) handleTrendlines(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 
@@ -167,8 +166,7 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		resp.DrillDown = append(resp.DrillDown, dd)
 	}
 
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleDiff is the engine-free comparison endpoint:
@@ -217,6 +215,5 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		tops = append(tops, explJSON{Predicates: e.Predicates, Effect: e.Effect.String(), Gamma: e.Gamma, Path: e.Path})
 	}
 	out["top"] = tops
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	writeJSON(w, http.StatusOK, out)
 }

@@ -83,7 +83,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	writeUpdate := func(u streamUpdate) {
-		_ = enc.Encode(u)
+		// The headers already went out as 200, so an update JSON cannot
+		// carry is reported in-band. Encode writes nothing on failure,
+		// and an error string always encodes; a failed write means the
+		// client left, which the context check below notices.
+		if err := enc.Encode(u); err != nil {
+			_ = enc.Encode(streamUpdate{Error: "encoding update: " + err.Error()})
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
