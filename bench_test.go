@@ -344,6 +344,30 @@ func BenchmarkCascadingGuessVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkCascadingGuessVerifyCovid is the narrow counterpart of the
+// liquor-wide BenchmarkCascadingGuessVerify: covid's score table is 54
+// columns wide, so per-solve fixed costs dominate instead of the per-column
+// scoring and selection.
+func BenchmarkCascadingGuessVerifyCovid(b *testing.B) {
+	d := datasets.CovidTotal()
+	u, err := explain.NewUniverse(d.Rel, explain.Config{
+		Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy, MaxOrder: d.MaxOrder,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := cascading.NewSolver(u, explain.AbsoluteChange, 3)
+	tab := explain.NewScoreTable(u, u.FilterLowSupport(0.001))
+	if w := len(tab.IDs()); w != 54 {
+		b.Fatalf("covid score table is %d columns wide, want 54", w)
+	}
+	n := u.NumTimestamps()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.GuessVerify(i%(n/2), n/2+i%(n/2), 30, tab)
+	}
+}
+
 func BenchmarkGammaLookup(b *testing.B) {
 	u := liquorUniverse(b)
 	n := u.NumTimestamps()

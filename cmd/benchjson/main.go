@@ -979,7 +979,7 @@ func runHierarchy(out string, replays int) error {
 
 		u := eng.Universe()
 		t1 := time.Now()
-		flatIDs, _ := explain.SelectTopBounds(u.ContributionBounds(), nil, budget)
+		flatIDs, _ := explain.SelectTopBounds(u.ContributionBounds(nil), nil, budget)
 		rankFlat := time.Since(t1).Nanoseconds()
 		t2 := time.Now()
 		sb := explain.NewSubtreeBounds(u)

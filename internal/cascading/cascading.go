@@ -49,17 +49,18 @@ type Solver struct {
 	m      int
 	dims   []int // explain-by dims, fetched once (ExplainBy copies)
 
-	// Reusable per-solve scratch: score buffers and a generation-tagged
-	// memo that avoids reallocating or clearing ε-sized arrays on every
-	// segment.
-	gammaBuf  []float64
-	effectBuf []explain.Effect
-	memoBuf   [][]float64
-	memoGen   []uint32
-	curGen    uint32
-	reachBuf  []bool
-	marked    []int32
-	zeroVec   []float64
+	// Reusable per-solve scratch: the segment's γ by table column, γ by
+	// candidate id for the entries the DP may read, and a generation-
+	// tagged memo that avoids reallocating or clearing ε-sized arrays on
+	// every segment.
+	rowBuf   []float64
+	gammaBuf []float64
+	memoBuf  [][]float64
+	memoGen  []uint32
+	curGen   uint32
+	reachBuf []bool
+	marked   []int32
+	zeroVec  []float64
 
 	// Allocation-free hot path: memo DP vectors are carved out of one
 	// arena per solve instead of one make per node; the knapsack scratch
@@ -73,8 +74,11 @@ type Solver struct {
 	exKid    [][]uint32
 	picked   []int
 
-	// GuessVerify scratch, reused across rounds and calls.
+	// GuessVerify scratch, reused across rounds and calls. colsBuf holds
+	// 0, 1, 2, …: χ starts each solve as a copy of its prefix.
+	colsBuf    []int
 	chiBuf     []int
+	guessBuf   []int
 	allowedBuf []bool
 	tailBuf    []int
 }
@@ -94,32 +98,30 @@ func (s *Solver) Metric() explain.Metric { return s.metric }
 // M returns the explanation quota m.
 func (s *Solver) M() int { return s.m }
 
-// segmentScores holds per-candidate γ and τ for one segment, indexed by
-// candidate id. Only the entries of selectable candidates are written for
-// the current segment; the others hold stale values from earlier solves,
-// which is safe because the DP, its extraction, and the guess-and-verify
-// check only ever read the score of a selectable candidate. The slices
-// alias the Solver's scratch buffers and are only valid until the next
-// solve.
-type segmentScores struct {
-	gamma  []float64
-	effect []explain.Effect
+// scoreRow scores segment [c, t] into the row scratch: γ of every listed
+// candidate, by table column, so per-segment cost scales with the
+// selectable set rather than ε.
+func (s *Solver) scoreRow(c, t int, tab *explain.ScoreTable) []float64 {
+	w := len(tab.IDs())
+	if cap(s.rowBuf) < w {
+		s.rowBuf = make([]float64, w)
+	}
+	row := s.rowBuf[:w]
+	tab.ScoreRow(c, t, s.metric, row)
+	return row
 }
 
-// score fills the score buffers for segment [c, t] from the table, which
-// covers exactly the selectable candidates, so per-segment cost scales
-// with the selectable set rather than ε.
-//
-//tsexplain:hotpath
-func (s *Solver) score(c, t int, tab *explain.ScoreTable) segmentScores {
+// idGamma returns the γ-by-candidate-id scratch. Only the entries of the
+// current solve's selectable candidates are written for the segment; the
+// others hold stale values from earlier solves, which is safe because the
+// DP, its extraction and the picks only ever read the γ of a selectable
+// candidate.
+func (s *Solver) idGamma() []float64 {
 	n := s.u.NumCandidates()
 	if cap(s.gammaBuf) < n {
 		s.gammaBuf = make([]float64, n)
-		s.effectBuf = make([]explain.Effect, n)
 	}
-	sc := segmentScores{gamma: s.gammaBuf[:n], effect: s.effectBuf[:n]}
-	tab.Score(c, t, s.metric, sc.gamma, sc.effect)
-	return sc
+	return s.gammaBuf[:n]
 }
 
 // solveState carries the memoized DP for one segment solve. The memo is
@@ -128,8 +130,8 @@ func (s *Solver) score(c, t int, tab *explain.ScoreTable) segmentScores {
 type solveState struct {
 	s       *Solver
 	tab     *explain.ScoreTable // drill-down adjacency of the solve
-	scores  segmentScores
-	allowed []bool // nil means every candidate is selectable
+	gamma   []float64           // γ by candidate id (Solver.idGamma)
+	allowed []bool              // nil means every candidate is selectable
 	// reach marks nodes (index id+1) whose subtree contains a selectable
 	// candidate; nil disables pruning.
 	reach []bool
@@ -159,7 +161,17 @@ func (st *solveState) memoPut(nodeID int, v []float64) {
 // selectable set: exactly tab.IDs() may be *selected* (drill-down may
 // still pass through other nodes).
 func (s *Solver) Solve(c, t int, tab *explain.ScoreTable) Result {
-	return s.solveScored(tab, s.score(c, t, tab), tab.Allowed(), tab.IDs())
+	return s.solveListed(c, t, tab, s.scoreRow(c, t, tab))
+}
+
+// solveListed runs the DP with every listed candidate selectable, copying
+// the segment's whole γ row into the id-indexed scratch first.
+func (s *Solver) solveListed(c, t int, tab *explain.ScoreTable, row []float64) Result {
+	gamma := s.idGamma()
+	for k, id := range tab.IDs() {
+		gamma[id] = row[k]
+	}
+	return s.solveScored(c, t, tab, tab.Allowed(), tab.IDs())
 }
 
 // dpAt returns the zeroed knapsack scratch vector for the given recursion
@@ -209,13 +221,14 @@ func (st *solveState) carveVec() []float64 {
 	return out
 }
 
-// solveScored runs the DP over prepared scores. allowed restricts
-// selection (nil: every candidate) and ids lists its true entries, so
-// reachability marking walks just the selectable set instead of all ε
-// candidates.
+// solveScored runs the DP for segment [c, t] over the γ of the
+// selectable candidates, already written to the id-indexed scratch.
+// allowed restricts selection (nil: every candidate) and ids lists its
+// true entries, so reachability marking walks just the selectable set
+// instead of all ε candidates. τ is computed for the picks only.
 //
 //tsexplain:hotpath
-func (s *Solver) solveScored(tab *explain.ScoreTable, scores segmentScores, allowed []bool, ids []int) Result {
+func (s *Solver) solveScored(c, t int, tab *explain.ScoreTable, allowed []bool, ids []int) Result {
 	n := s.u.NumCandidates() + 1
 	if cap(s.memoBuf) < n {
 		s.memoBuf = make([][]float64, n)
@@ -229,7 +242,7 @@ func (s *Solver) solveScored(tab *explain.ScoreTable, scores segmentScores, allo
 	st := &solveState{
 		s:       s,
 		tab:     tab,
-		scores:  scores,
+		gamma:   s.gammaBuf,
 		allowed: allowed,
 		leaves:  tab.Leaves(),
 	}
@@ -271,8 +284,8 @@ func (s *Solver) solveScored(tab *explain.ScoreTable, scores segmentScores, allo
 		for i, id := range s.picked {
 			res.Explanations[i] = Picked{
 				ID:     id,
-				Gamma:  scores.gamma[id],
-				Effect: scores.effect[id],
+				Gamma:  st.gamma[id],
+				Effect: tab.Effect(c, t, tab.Column(id)),
 			}
 		}
 		sortPickedByGamma(res.Explanations)
@@ -311,7 +324,7 @@ func (st *solveState) leafGain(id uint32) float64 {
 	if !st.selectable(int(id)) {
 		return 0
 	}
-	if g := st.scores.gamma[id]; g > 0 {
+	if g := st.gamma[id]; g > 0 {
 		return g
 	}
 	return 0
@@ -409,7 +422,7 @@ func (st *solveState) best(nodeID, depth int) []float64 {
 	// Option 2: report this node itself (uses one quota, forecloses the
 	// whole subtree since every descendant overlaps the node).
 	if nodeID >= 0 && st.selectable(nodeID) {
-		g := st.scores.gamma[nodeID]
+		g := st.gamma[nodeID]
 		for q := 1; q <= m; q++ {
 			if g > out[q] {
 				out[q] = g
@@ -444,7 +457,7 @@ func (st *solveState) extract(nodeID, q, depth int) {
 	}
 
 	// Does reporting the node itself achieve the target?
-	if nodeID >= 0 && st.selectable(nodeID) && st.scores.gamma[nodeID] >= target {
+	if nodeID >= 0 && st.selectable(nodeID) && st.gamma[nodeID] >= target {
 		st.s.picked = append(st.s.picked, nodeID)
 		return
 	}

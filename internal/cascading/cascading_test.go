@@ -64,10 +64,15 @@ func tableOf(u *explain.Universe, allowed []bool) *explain.ScoreTable {
 	return explain.NewScoreTable(u, ids)
 }
 
+// describe renders candidate id's conjunction with names resolved.
+func describe(u *explain.Universe, id int) string {
+	return u.Candidate(id).Conj.String(u.Relation())
+}
+
 func names(u *explain.Universe, res Result) []string {
 	out := make([]string, len(res.Explanations))
 	for i, p := range res.Explanations {
-		out[i] = u.Describe(p.ID)
+		out[i] = describe(u, p.ID)
 	}
 	return out
 }
@@ -81,7 +86,7 @@ func TestTop1PicksLargestSlice(t *testing.T) {
 	}
 	// cat=a aggregates the a-slices of every state: +155, the single
 	// largest mover across both explain-by attributes.
-	if got := u.Describe(res.Explanations[0].ID); got != "cat=a" {
+	if got := describe(u, res.Explanations[0].ID); got != "cat=a" {
 		t.Errorf("top-1 = %q, want cat=a", got)
 	}
 	if res.Explanations[0].Gamma != 155 {
@@ -183,7 +188,7 @@ func TestAllowedRestrictsSelection(t *testing.T) {
 	}
 	allowed[nyID] = false
 	res := s.Solve(0, 1, tableOf(u, allowed))
-	if got := u.Describe(res.Explanations[0].ID); got == "state=NY" {
+	if got := describe(u, res.Explanations[0].ID); got == "state=NY" {
 		t.Errorf("picked forbidden candidate %q", got)
 	}
 }
@@ -205,7 +210,7 @@ func TestDrillThroughDisallowedIntermediate(t *testing.T) {
 	}
 	for _, p := range res.Explanations {
 		if u.Candidate(p.ID).Conj.Order() != 2 {
-			t.Errorf("picked %q, want only order-2 leaves", u.Describe(p.ID))
+			t.Errorf("picked %q, want only order-2 leaves", describe(u, p.ID))
 		}
 	}
 	// Best leaves: NY&a(100) + CA&a(50).
@@ -319,7 +324,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 			}
 			for _, p := range got.Explanations {
 				if !allowed[p.ID] {
-					t.Errorf("trial %d restricted %s picked unselectable %q", trial, name, u.Describe(p.ID))
+					t.Errorf("trial %d restricted %s picked unselectable %q", trial, name, describe(u, p.ID))
 				}
 			}
 			assertNonOverlapping(t, u, got)
@@ -369,7 +374,7 @@ func assertNonOverlapping(t *testing.T, u *explain.Universe, res Result) {
 			a := u.Candidate(res.Explanations[i].ID).Conj
 			b := u.Candidate(res.Explanations[j].ID).Conj
 			if a.Overlaps(b) {
-				t.Errorf("overlapping picks: %q and %q", u.Describe(res.Explanations[i].ID), u.Describe(res.Explanations[j].ID))
+				t.Errorf("overlapping picks: %q and %q", describe(u, res.Explanations[i].ID), describe(u, res.Explanations[j].ID))
 			}
 		}
 	}

@@ -17,23 +17,36 @@ import (
 // how many guess rounds ran (1 means the first guess verified), which the
 // experiments use to characterize the optimization.
 func (s *Solver) GuessVerify(c, t int, initGuess int, tab *explain.ScoreTable) (Result, int) {
-	scores := s.score(c, t, tab)
-	// χ: the selectable ids in ascending order, reordered in place by the
-	// guess rounds; rather than fully sorting them per segment, each round
-	// partially selects just the prefix it needs (the guess plus the
-	// verification lookahead).
-	chi := append(s.chiBuf[:0], tab.IDs()...)
+	row := s.scoreRow(c, t, tab)
+	// χ: the table columns in ascending order — the ascending ids' order —
+	// reordered in place by the guess rounds; rather than fully sorting
+	// them per segment, each round partially selects just the prefix it
+	// needs (the guess plus the verification lookahead).
+	w := len(row)
+	if len(s.colsBuf) < w {
+		s.colsBuf = make([]int, w)
+		for k := range s.colsBuf {
+			s.colsBuf[k] = k
+		}
+		s.chiBuf = make([]int, w)
+	}
+	chi := s.chiBuf[:w]
+	copy(chi, s.colsBuf)
 	s.chiBuf = chi
-	return s.guessVerifyScored(tab, scores, chi, tab.Allowed(), initGuess)
+	return s.guessVerifyScored(c, t, tab, row, chi, initGuess)
 }
 
-// guessVerifyScored runs the guess-and-verify rounds over a prepared
-// score buffer and selectable id list. chi is solver scratch; it is
-// reordered in place.
+// guessVerifyScored runs the guess-and-verify rounds over a segment's γ
+// row and its columns χ. chi is solver scratch; it is reordered in place.
+// The rounds compare and move columns exactly as they would the ascending
+// ids, so ties resolve the same way; only the guess's γ is copied into the
+// id-indexed scratch the DP reads.
 //
 //tsexplain:hotpath
-func (s *Solver) guessVerifyScored(tab *explain.ScoreTable, scores segmentScores, chi []int, base []bool, initGuess int) (Result, int) {
-	n := len(scores.gamma)
+func (s *Solver) guessVerifyScored(c, t int, tab *explain.ScoreTable, row []float64, chi []int, initGuess int) (Result, int) {
+	ids := tab.IDs()
+	gamma := s.idGamma()
+	n := len(gamma)
 	mbar := initGuess
 	if mbar < s.m {
 		mbar = s.m
@@ -50,41 +63,44 @@ func (s *Solver) guessVerifyScored(tab *explain.ScoreTable, scores segmentScores
 		rounds++
 		if mbar >= len(chi) {
 			// Every selectable candidate is in the guess; the result is
-			// trivially optimal. chi lists exactly base's true entries, so
-			// it doubles as the reach-marking id list.
-			return s.solveScored(tab, scores, base, chi), rounds
+			// trivially optimal.
+			return s.solveListed(c, t, tab, row), rounds
 		}
 		split := false
 		if need := mbar + s.m; need > sorted {
 			if need > len(chi) {
 				need = len(chi)
 			}
-			selectTop(chi, scores.gamma, need)
+			selectTop(chi, row, need)
 			// The round reads the guess only as a set and the lookahead
 			// in order, so order the prefix only that far; a failed round
 			// completes the sort before the next selectTop reorders chi.
-			splitTail(chi[:need], scores.gamma, mbar, s.tailBuf)
+			splitTail(chi[:need], row, mbar, s.tailBuf)
 			sorted, split = need, true
 		}
 		// allowedBuf stays all-false between rounds and calls: only the
-		// guessed prefix is marked, and unmarked again below, so a guess
+		// guessed ids are marked, and unmarked again below, so a guess
 		// round costs O(m̄) rather than an O(ε) buffer clear.
 		if cap(s.allowedBuf) < n {
 			s.allowedBuf = make([]bool, n)
 		}
 		allowed := s.allowedBuf[:n]
-		for _, id := range chi[:mbar] {
-			allowed[id] = true
+		guess := s.guessBuf[:0]
+		for _, k := range chi[:mbar] {
+			id := ids[k]
+			gamma[id], allowed[id] = row[k], true
+			guess = append(guess, id)
 		}
-		res := s.solveScored(tab, scores, allowed, chi[:mbar])
-		for _, id := range chi[:mbar] {
+		s.guessBuf = guess
+		res := s.solveScored(c, t, tab, allowed, guess)
+		for _, id := range guess {
 			allowed[id] = false
 		}
-		if s.verified(res, scores, chi, mbar) {
+		if s.verified(res, row, chi, mbar) {
 			return res, rounds
 		}
 		if split {
-			sortIDsByGamma(chi[:mbar], scores.gamma)
+			sortIDsByGamma(chi[:mbar], row)
 		}
 		mbar *= 2
 	}
@@ -217,12 +233,12 @@ func selectTop(ids []int, gamma []float64, k int) {
 // current solution.
 //
 //tsexplain:hotpath
-func (s *Solver) verified(res Result, scores segmentScores, chi []int, mbar int) bool {
+func (s *Solver) verified(res Result, row []float64, chi []int, mbar int) bool {
 	for mp := 0; mp < s.m; mp++ {
 		bound := res.Best[mp]
 		for j := 1; j <= s.m-mp; j++ {
 			if idx := mbar + j - 1; idx < len(chi) {
-				bound += scores.gamma[chi[idx]]
+				bound += row[chi[idx]]
 			}
 		}
 		if res.Best[s.m] < bound-1e-12 {

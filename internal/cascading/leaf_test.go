@@ -30,10 +30,16 @@ type refSolver struct {
 	memo    map[int][]float64
 }
 
+// newRefSolver scores every listed candidate over [c, t] through
+// Metric.Score directly, by candidate id.
 func newRefSolver(u *explain.Universe, tab *explain.ScoreTable, metric explain.Metric, m, c, t int) *refSolver {
 	n := u.NumCandidates()
 	r := &refSolver{u: u, tab: tab, m: m, gamma: make([]float64, n), effect: make([]explain.Effect, n)}
-	tab.Score(c, t, metric, r.gamma, r.effect)
+	tot := u.TotalSeries()
+	for _, id := range tab.IDs() {
+		s := u.Candidate(id).Series
+		r.gamma[id], r.effect[id] = metric.Score(u.Agg(), tot[c], tot[t], s[c], s[t])
+	}
 	return r
 }
 
@@ -310,16 +316,19 @@ func TestLeafShortcutMatchesReferenceDP(t *testing.T) {
 			s := NewSolver(u, explain.AbsoluteChange, m)
 			ref := newRefSolver(u, tab, explain.AbsoluteChange, m, 0, 1)
 			ctx := fmt.Sprintf("trial %d (%d candidates, β̄ %d, %d listed) m=%d", trial, n, u.MaxOrder(), len(tab.IDs()), m)
-			if d := sameResult(s.Solve(0, 1, tab), ref.solve(tab.Allowed(), tab.IDs())); d != "" {
-				t.Fatalf("%s exact: %s", ctx, d)
-			}
+			// Guess-and-verify runs first, on a fresh solver, so it cannot
+			// lean on γ an exact solve left in the solver's scratch.
 			for _, init := range []int{1, 2, 5} {
 				got, gotRounds := s.GuessVerify(0, 1, init, tab)
 				want, wantRounds, wantChi := ref.guessVerify(init)
 				if d := sameResult(got, want); d != "" || gotRounds != wantRounds {
 					t.Fatalf("%s guess init %d: %s (rounds %d, want %d)", ctx, init, d, gotRounds, wantRounds)
 				}
-				chi := append([]int(nil), s.chiBuf...)
+				// The solver's χ holds table columns; the reference's, ids.
+				chi := make([]int, len(s.chiBuf))
+				for i, k := range s.chiBuf {
+					chi[i] = tab.IDs()[k]
+				}
 				if mbar := max(init, m) << (gotRounds - 1); mbar < len(chi) {
 					sortIDsByGamma(chi[:mbar], ref.gamma)
 				}
@@ -329,6 +338,9 @@ func TestLeafShortcutMatchesReferenceDP(t *testing.T) {
 				if gotRounds > 1 {
 					multiRound++
 				}
+			}
+			if d := sameResult(s.Solve(0, 1, tab), ref.solve(tab.Allowed(), tab.IDs())); d != "" {
+				t.Fatalf("%s exact: %s", ctx, d)
 			}
 		}
 	}
@@ -363,7 +375,7 @@ func TestLeafBitsDescribeTableAdjacency(t *testing.T) {
 				}
 			}
 			if got := leaves[id/64]&(1<<(id%64)) != 0; got != leaf {
-				t.Fatalf("trial %d: leaf bit of %s = %v, want %v", trial, u.Describe(id), got, leaf)
+				t.Fatalf("trial %d: leaf bit of %s = %v, want %v", trial, describe(u, id), got, leaf)
 			}
 		}
 	}

@@ -137,7 +137,7 @@ func (e *Engine) approxEnsure() *approxState {
 			return a
 		}
 	}
-	a := &approxState{bounds: e.u.ContributionBounds(), installedM: -1}
+	a := &approxState{bounds: e.u.ContributionBounds(e.allowed), installedM: -1}
 	a.order = make([]int, 0, len(a.bounds))
 	for id := range a.bounds {
 		if e.allowed == nil || e.allowed[id] {
@@ -145,13 +145,7 @@ func (e *Engine) approxEnsure() *approxState {
 		}
 	}
 	a.eligible = len(a.order)
-	sort.Slice(a.order, func(i, j int) bool {
-		bi, bj := a.bounds[a.order[i]], a.bounds[a.order[j]]
-		if bi != bj {
-			return bi > bj
-		}
-		return a.order[i] < a.order[j]
-	})
+	explain.SortByBound(a.order, a.bounds)
 
 	totals := e.u.TotalValues()
 	scale := 0.0

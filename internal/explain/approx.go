@@ -1,7 +1,9 @@
 package explain
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/relation"
@@ -18,6 +20,8 @@ import (
 
 // ContributionBounds returns, per candidate, an upper bound on the
 // absolute-change difference score γ(E, c, t) over EVERY segment [c, t].
+// Only the eligible candidates are scored (allowed nil means every
+// candidate); the others' entries are 0.
 //
 // Definition 3.2 rewrites to γ(E, c, t) = |φ_E(t) − φ_E(c)| with
 // φ_E(x) = f(tot_x) − f(tot_x − e_x), the candidate's effect on the
@@ -29,18 +33,32 @@ import (
 //
 // The bound is computed against the universe's active (possibly smoothed)
 // series views, the same state Gamma scores, in O(ε·n) total.
-func (u *Universe) ContributionBounds() []float64 {
-	n := len(u.total)
-	fTot := make([]float64, n)
-	for t, sc := range u.total {
-		fTot[t] = u.agg.Eval(sc.Sum, sc.Count)
-	}
+func (u *Universe) ContributionBounds(allowed []bool) []float64 {
+	fTot := u.TotalValues()
 	out := make([]float64, len(u.cands))
 	for id, c := range u.cands {
-		mn, mx := math.Inf(1), math.Inf(-1)
-		for t, e := range c.Series {
-			rem := u.total[t].Sub(e)
-			phi := fTot[t] - u.agg.Eval(rem.Sum, rem.Count)
+		if allowed != nil && !allowed[id] {
+			continue
+		}
+		mn, mx := phiRange(u.agg, u.total, fTot, c.Series)
+		out[id] = mx - mn
+	}
+	return out
+}
+
+// phiRange returns the smallest and largest per-timestamp effect
+// φ(x) = fTot[x] − f(total[x] − series[x]) of one candidate series, where
+// fTot[x] = f(total[x]). The aggregate is resolved once, outside the loop;
+// each φ is the same float operations f.Eval performs on total − e, so
+// the result is bit-identical to evaluating through SumCount.Sub and Eval.
+//
+//tsexplain:hotpath
+func phiRange(f relation.AggFunc, total []relation.SumCount, fTot []float64, series []relation.SumCount) (mn, mx float64) {
+	mn, mx = math.Inf(1), math.Inf(-1)
+	switch f {
+	case relation.Sum:
+		for t, e := range series {
+			phi := fTot[t] - (total[t].Sum - e.Sum)
 			if phi < mn {
 				mn = phi
 			}
@@ -48,9 +66,28 @@ func (u *Universe) ContributionBounds() []float64 {
 				mx = phi
 			}
 		}
-		out[id] = mx - mn
+	case relation.Count:
+		for t, e := range series {
+			phi := fTot[t] - (total[t].Count - e.Count)
+			if phi < mn {
+				mn = phi
+			}
+			if phi > mx {
+				mx = phi
+			}
+		}
+	default:
+		for t, e := range series {
+			phi := fTot[t] - f.Eval(total[t].Sum-e.Sum, total[t].Count-e.Count)
+			if phi < mn {
+				mn = phi
+			}
+			if phi > mx {
+				mx = phi
+			}
+		}
 	}
-	return out
+	return mn, mx
 }
 
 // SelectTopBounds picks the ids of the (at most max) candidates with the
@@ -71,20 +108,28 @@ func SelectTopBounds(bounds []float64, allowed []bool, max int) (ids []int, thet
 		max = 0
 	}
 	if len(order) <= max {
-		sort.Ints(order)
 		return order, 0
 	}
-	sort.Slice(order, func(i, j int) bool {
-		bi, bj := bounds[order[i]], bounds[order[j]]
-		if bi != bj {
-			return bi > bj
-		}
-		return order[i] < order[j]
-	})
+	SortByBound(order, bounds)
 	theta = bounds[order[max]]
 	ids = append([]int(nil), order[:max]...)
 	sort.Ints(ids)
 	return ids, theta
+}
+
+// SortByBound sorts candidate ids by descending bound, ties by ascending
+// id: the ranking SelectTopBounds cuts and the approximate path's
+// refinement rounds take prefixes of.
+func SortByBound(ids []int, bounds []float64) {
+	slices.SortFunc(ids, func(a, b int) int {
+		if ba, bb := bounds[a], bounds[b]; ba != bb {
+			if ba > bb {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // ResidualSeries returns the exact aggregated series of everything the

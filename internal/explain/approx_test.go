@@ -2,6 +2,7 @@ package explain
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/relation"
@@ -27,7 +28,7 @@ func buildTestUniverse(t *testing.T, agg relation.AggFunc) *Universe {
 func TestContributionBoundDominatesGamma(t *testing.T) {
 	for _, agg := range []relation.AggFunc{relation.Sum, relation.Count, relation.Avg} {
 		u := buildTestUniverse(t, agg)
-		bounds := u.ContributionBounds()
+		bounds := u.ContributionBounds(nil)
 		n := u.NumTimestamps()
 		for id := 0; id < u.NumCandidates(); id++ {
 			for c := 0; c < n; c++ {
@@ -37,6 +38,49 @@ func TestContributionBoundDominatesGamma(t *testing.T) {
 						t.Fatalf("agg %v candidate %d segment [%d,%d]: γ=%g exceeds bound %g",
 							agg, id, c, tt, g, bounds[id])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestContributionBoundsEligibleMatchFullPass: scoring only an eligible
+// set gives every eligible id exactly the full pass's bound bits, and the
+// full pass equals the φ-range formula evaluated through SumCount.Sub and
+// AggFunc.Eval, for each aggregate and on adversarial series.
+func TestContributionBoundsEligibleMatchFullPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, agg := range []relation.AggFunc{relation.Sum, relation.Count, relation.Avg} {
+		for trial, u := range []*Universe{buildTestUniverse(t, agg), adversarialUniverse(rng, agg, 64, 9)} {
+			full := u.ContributionBounds(nil)
+			fTot := u.TotalValues()
+			for id, c := range u.cands {
+				mn, mx := math.Inf(1), math.Inf(-1)
+				for tt, e := range c.Series {
+					rem := u.total[tt].Sub(e)
+					phi := fTot[tt] - agg.Eval(rem.Sum, rem.Count)
+					if phi < mn {
+						mn = phi
+					}
+					if phi > mx {
+						mx = phi
+					}
+				}
+				if want := mx - mn; math.Float64bits(full[id]) != math.Float64bits(want) {
+					t.Fatalf("%v #%d candidate %d: bound %v, want %v", agg, trial, id, full[id], want)
+				}
+			}
+			allowed := make([]bool, u.NumCandidates())
+			for id := range allowed {
+				allowed[id] = rng.Intn(3) > 0
+			}
+			some := u.ContributionBounds(allowed)
+			for id, ok := range allowed {
+				if ok && math.Float64bits(some[id]) != math.Float64bits(full[id]) {
+					t.Fatalf("%v #%d eligible candidate %d: bound %v, full pass %v", agg, trial, id, some[id], full[id])
+				}
+				if !ok && some[id] != 0 {
+					t.Fatalf("%v #%d ineligible candidate %d scored %v", agg, trial, id, some[id])
 				}
 			}
 		}

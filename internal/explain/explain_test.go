@@ -55,7 +55,7 @@ func TestEnumerationSingleAttr(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for id := 0; id < u.NumCandidates(); id++ {
-		seen[u.Describe(id)] = true
+		seen[describe(u, id)] = true
 	}
 	for _, want := range []string{"state=NY", "state=CA", "state=WA"} {
 		if !seen[want] {
@@ -139,7 +139,7 @@ func TestChildrenAdjacency(t *testing.T) {
 		t.Fatalf("west children on state = %d, want 2", len(kids))
 	}
 	for _, id := range kids {
-		desc := u.Describe(int(id))
+		desc := describe(u, int(id))
 		if !strings.Contains(desc, "region=west") {
 			t.Errorf("child %q does not extend region=west", desc)
 		}
@@ -250,15 +250,13 @@ func TestRiskRatioMetric(t *testing.T) {
 	}
 }
 
-func TestMetricStringParse(t *testing.T) {
-	for _, m := range []Metric{AbsoluteChange, RelativeChange, RiskRatio} {
-		back, err := ParseMetric(m.String())
-		if err != nil || back != m {
-			t.Errorf("round trip %v: (%v, %v)", m, back, err)
+func TestMetricString(t *testing.T) {
+	for m, want := range map[Metric]string{
+		AbsoluteChange: "absolute-change", RelativeChange: "relative-change", RiskRatio: "risk-ratio", 7: "Metric(7)",
+	} {
+		if got := m.String(); got != want {
+			t.Errorf("Metric(%d).String() = %q, want %q", int(m), got, want)
 		}
-	}
-	if _, err := ParseMetric("bogus"); err == nil {
-		t.Error("ParseMetric(bogus): want error")
 	}
 }
 
@@ -287,7 +285,7 @@ func TestFilterLowSupport(t *testing.T) {
 	if len(kept) != 1 {
 		t.Fatalf("filtered = %d candidates, want 1", len(kept))
 	}
-	if got := u.Describe(kept[0]); got != "s=big" {
+	if got := describe(u, kept[0]); got != "s=big" {
 		t.Errorf("survivor = %q, want s=big", got)
 	}
 	// ratio 0 keeps everything.
@@ -328,4 +326,9 @@ func lookup(t *testing.T, u *Universe, r *relation.Relation, pairs map[string]st
 		t.Fatalf("Lookup(%v): not a candidate", pairs)
 	}
 	return id
+}
+
+// describe renders candidate id's conjunction with names resolved.
+func describe(u *Universe, id int) string {
+	return u.cands[id].Conj.String(u.rel)
 }

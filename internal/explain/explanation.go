@@ -608,8 +608,3 @@ func (u *Universe) TotalValues() []float64 {
 func (u *Universe) CandidateValues(id int) []float64 {
 	return relation.Values(u.agg, u.cands[id].Series)
 }
-
-// Describe renders candidate id's conjunction with names resolved.
-func (u *Universe) Describe(id int) string {
-	return u.cands[id].Conj.String(u.rel)
-}

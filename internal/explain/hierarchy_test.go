@@ -254,10 +254,16 @@ func TestSubtreeCapDominance(t *testing.T) {
 		}
 	}
 
-	// The memoized exact bounds equal the flat path's ContributionBounds.
-	flat := u.ContributionBounds()
+	// The memoized exact bounds and caps are the shared φ-range kernel's,
+	// bit for bit, and so equal the flat path's ContributionBounds.
+	flat := u.ContributionBounds(nil)
+	fTot := u.TotalValues()
 	for id := range flat {
-		if math.Abs(flat[id]-sb.bounds[id]) > 1e-9*(1+math.Abs(flat[id])) {
+		mn, mx := phiRange(u.agg, u.total, fTot, u.cands[id].Series)
+		if math.Float64bits(sb.bounds[id]) != math.Float64bits(mx-mn) || math.Float64bits(sb.caps[id]) != math.Float64bits(mx) {
+			t.Fatalf("candidate %d: walk bound %g cap %g, kernel %g and %g", id, sb.bounds[id], sb.caps[id], mx-mn, mx)
+		}
+		if math.Float64bits(flat[id]) != math.Float64bits(sb.bounds[id]) {
 			t.Fatalf("candidate %d: walk bound %g != ContributionBounds %g", id, sb.bounds[id], flat[id])
 		}
 	}
@@ -287,7 +293,7 @@ func TestSelectTopSoundness(t *testing.T) {
 	if sb == nil {
 		t.Fatal("selector should engage")
 	}
-	exact := u.ContributionBounds()
+	exact := u.ContributionBounds(nil)
 
 	check := func(allowed []bool, max int) {
 		t.Helper()

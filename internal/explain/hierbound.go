@@ -71,24 +71,19 @@ func NewSubtreeBounds(u *Universe) *SubtreeBounds {
 	default:
 		return nil
 	}
-	n := len(u.total)
-	sb := &SubtreeBounds{
+	return &SubtreeBounds{
 		u:        u,
-		fTot:     make([]float64, n),
+		fTot:     u.TotalValues(),
 		computed: make([]bool, len(u.cands)),
 		bounds:   make([]float64, len(u.cands)),
 		caps:     make([]float64, len(u.cands)),
 		seen:     make([]uint32, len(u.cands)),
 	}
-	for t, sc := range u.total {
-		sb.fTot[t] = u.agg.Eval(sc.Sum, sc.Count)
-	}
-	return sb
 }
 
 // visit computes (memoized) candidate id's exact bound and cap with one
-// scan of its series — the same φ-range formula ContributionBounds uses,
-// against the same active series views.
+// scan of its series — the φ-range kernel ContributionBounds runs, against
+// the same active series views.
 //
 //tsexplain:hotpath
 func (sb *SubtreeBounds) visit(id int) {
@@ -96,17 +91,7 @@ func (sb *SubtreeBounds) visit(id int) {
 		return
 	}
 	u := sb.u
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for t, e := range u.cands[id].Series {
-		rem := u.total[t].Sub(e)
-		phi := sb.fTot[t] - u.agg.Eval(rem.Sum, rem.Count)
-		if phi < mn {
-			mn = phi
-		}
-		if phi > mx {
-			mx = phi
-		}
-	}
+	mn, mx := phiRange(u.agg, u.total, sb.fTot, u.cands[id].Series)
 	sb.bounds[id] = mx - mn
 	sb.caps[id] = mx
 	sb.computed[id] = true

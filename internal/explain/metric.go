@@ -42,20 +42,6 @@ func (m Metric) String() string {
 	}
 }
 
-// ParseMetric parses a metric name as produced by String.
-func ParseMetric(s string) (Metric, error) {
-	switch s {
-	case "absolute-change":
-		return AbsoluteChange, nil
-	case "relative-change":
-		return RelativeChange, nil
-	case "risk-ratio":
-		return RiskRatio, nil
-	default:
-		return 0, fmt.Errorf("explain: unknown metric %q", s)
-	}
-}
-
 // Effect is the change effect τ(E) of Definition 3.3.
 type Effect int8
 

@@ -24,8 +24,11 @@ import (
 type ScoreTable struct {
 	u   *Universe
 	ids []int
-	// allowed is the membership bitmap of ids over every candidate of u.
+	// allowed is the membership bitmap of ids over every candidate of u,
+	// and col maps a candidate id to its column k (ids[k] == id), −1 when
+	// the id is not listed.
 	allowed []bool
+	col     []int32
 	rows    int       // positions held
 	sum     []float64 // sum[t*len(ids)+k]: Sum of ids[k] at t; nil for COUNT
 	count   []float64 // count[t*len(ids)+k]: Count of ids[k] at t; nil for SUM
@@ -157,23 +160,37 @@ func (tb *ScoreTable) buildLeaves() {
 // build or the last Refresh, and is shared with the table.
 func (tb *ScoreTable) Leaves() []uint64 { return tb.leaves }
 
-// growAllowed sizes the membership bitmap to u's candidate count, marking
-// the listed ids. Candidates registered by an append after the build are
-// never listed, so their entries stay false.
+// growAllowed sizes the membership bitmap and the column index to u's
+// candidate count, marking the listed ids. Candidates registered by an
+// append after the build are never listed, so their entries stay false
+// and −1.
 func (tb *ScoreTable) growAllowed() {
 	n := tb.u.NumCandidates()
 	if len(tb.allowed) == n {
 		return
 	}
 	grown := make([]bool, n)
-	if tb.allowed == nil {
-		for _, id := range tb.ids {
-			grown[id] = true
-		}
-	} else {
-		copy(grown, tb.allowed)
+	col := make([]int32, n)
+	copy(grown, tb.allowed)
+	copy(col, tb.col)
+	for id := len(tb.col); id < n; id++ {
+		col[id] = -1
 	}
-	tb.allowed = grown
+	if tb.allowed == nil {
+		for k, id := range tb.ids {
+			grown[id], col[id] = true, int32(k)
+		}
+	}
+	tb.allowed, tb.col = grown, col
+}
+
+// Column returns the table column of candidate id, or −1 when id is not
+// listed.
+func (tb *ScoreTable) Column(id int) int {
+	if id < 0 || id >= len(tb.col) {
+		return -1
+	}
+	return int(tb.col[id])
 }
 
 // fill (re)writes rows [from, T) from the universe's active series,
@@ -275,11 +292,11 @@ func (tb *ScoreTable) Lists(allowed []bool) bool {
 }
 
 // Bytes is the table's heap footprint: the value rows (with any append
-// headroom), the id list, the membership bitmap, the pruned adjacency and
-// the leaf bitmap.
+// headroom), the id list, the membership bitmap, the column index, the
+// pruned adjacency and the leaf bitmap.
 func (tb *ScoreTable) Bytes() int64 {
 	return 8*int64(cap(tb.sum)+cap(tb.count)+len(tb.ids)+cap(tb.leaves)) + int64(len(tb.allowed)) +
-		4*int64(len(tb.rowOf)+cap(tb.kidOff)+cap(tb.kidIDs))
+		4*int64(len(tb.col)+len(tb.rowOf)+cap(tb.kidOff)+cap(tb.kidIDs))
 }
 
 // Equal reports whether two tables list the same candidates and hold
@@ -311,67 +328,91 @@ func sameBits(a, b []float64, n int) bool {
 	return true
 }
 
-// Score writes, for every listed candidate id, its difference score γ and
-// change effect τ over the segment [c, t] into gamma[id] and effect[id];
-// entries of unlisted ids are left untouched. The overall-series terms and
-// the aggregate/metric dispatch are resolved once per segment, and each
-// candidate then runs exactly the floating-point operations of
-// Metric.Score in the same order, so every γ is bit-identical to
-// Universe.Gamma. gamma and effect must hold at least NumCandidates
-// entries.
+// ScoreRow writes the difference score γ over the segment [c, t] of every
+// listed candidate into row by table column: row[k] scores IDs()[k]. The
+// overall-series terms and the aggregate/metric dispatch are resolved once
+// per segment, and each column then runs exactly the floating-point
+// operations of Metric.Score in the same order, so every γ is bit-identical
+// to Universe.Gamma. The change effect τ is left to Effect: only the few
+// picked candidates need it. row must hold len(IDs()) entries.
 //
 //tsexplain:hotpath
-func (tb *ScoreTable) Score(c, t int, m Metric, gamma []float64, effect []Effect) {
+func (tb *ScoreTable) ScoreRow(c, t int, m Metric, row []float64) {
 	f := tb.u.agg
 	totC, totT := tb.u.total[c], tb.u.total[t]
 	evC, evT := f.Eval(totC.Sum, totC.Count), f.Eval(totT.Sum, totT.Count)
-	base := evT - evC
 	w := len(tb.ids)
+	row = row[:w]
+	if m == RiskRatio {
+		// γ reads the slice's shares only; δ is not needed.
+		overallC, overallT := math.Abs(evC), math.Abs(evT)
+		for k := range row {
+			shareT := share(overallT, tb.eval(f, t*w+k))
+			shareC := share(overallC, tb.eval(f, c*w+k))
+			row[k] = riskRatio(shareT, shareC)
+		}
+		return
+	}
+	base := evT - evC
 	switch f {
 	case relation.Sum:
 		sC, sT := tb.sum[c*w:(c+1)*w], tb.sum[t*w:(t+1)*w]
-		for k, id := range tb.ids {
-			delta := base - ((totT.Sum - sT[k]) - (totC.Sum - sC[k]))
-			gamma[id], effect[id] = math.Abs(delta), effectOf(delta)
+		for k := range row {
+			row[k] = math.Abs(base - ((totT.Sum - sT[k]) - (totC.Sum - sC[k])))
 		}
 	case relation.Count:
 		nC, nT := tb.count[c*w:(c+1)*w], tb.count[t*w:(t+1)*w]
-		for k, id := range tb.ids {
-			delta := base - ((totT.Count - nT[k]) - (totC.Count - nC[k]))
-			gamma[id], effect[id] = math.Abs(delta), effectOf(delta)
+		for k := range row {
+			row[k] = math.Abs(base - ((totT.Count - nT[k]) - (totC.Count - nC[k])))
 		}
 	case relation.Avg:
 		sC, sT := tb.sum[c*w:(c+1)*w], tb.sum[t*w:(t+1)*w]
 		nC, nT := tb.count[c*w:(c+1)*w], tb.count[t*w:(t+1)*w]
-		for k, id := range tb.ids {
+		for k := range row {
 			removed := relation.Avg.Eval(totT.Sum-sT[k], totT.Count-nT[k]) -
 				relation.Avg.Eval(totC.Sum-sC[k], totC.Count-nC[k])
-			delta := base - removed
-			gamma[id], effect[id] = math.Abs(delta), effectOf(delta)
+			row[k] = math.Abs(base - removed)
 		}
 	default:
 		panic("explain: invalid AggFunc")
 	}
-
 	switch m {
 	case AbsoluteChange:
 	case RelativeChange:
 		// |δ| / |base| is the same single division Metric.Score performs.
 		if denom := math.Abs(base); denom != 0 {
-			for _, id := range tb.ids {
-				gamma[id] /= denom
+			for k := range row {
+				row[k] /= denom
 			}
-		}
-	case RiskRatio:
-		overallC, overallT := math.Abs(evC), math.Abs(evT)
-		for k, id := range tb.ids {
-			shareT := share(overallT, tb.eval(f, t*w+k))
-			shareC := share(overallC, tb.eval(f, c*w+k))
-			gamma[id] = riskRatio(shareT, shareC)
 		}
 	default:
 		panic("explain: invalid Metric")
 	}
+}
+
+// Effect returns the change effect τ over the segment [c, t] of the
+// candidate in table column k, from the same δ ScoreRow scores it by, so
+// it equals Metric.Score's τ.
+//
+//tsexplain:hotpath
+func (tb *ScoreTable) Effect(c, t, k int) Effect {
+	f := tb.u.agg
+	totC, totT := tb.u.total[c], tb.u.total[t]
+	base := f.Eval(totT.Sum, totT.Count) - f.Eval(totC.Sum, totC.Count)
+	w := len(tb.ids)
+	var removed float64
+	switch f {
+	case relation.Sum:
+		removed = (totT.Sum - tb.sum[t*w+k]) - (totC.Sum - tb.sum[c*w+k])
+	case relation.Count:
+		removed = (totT.Count - tb.count[t*w+k]) - (totC.Count - tb.count[c*w+k])
+	case relation.Avg:
+		removed = relation.Avg.Eval(totT.Sum-tb.sum[t*w+k], totT.Count-tb.count[t*w+k]) -
+			relation.Avg.Eval(totC.Sum-tb.sum[c*w+k], totC.Count-tb.count[c*w+k])
+	default:
+		panic("explain: invalid AggFunc")
+	}
+	return effectOf(base - removed)
 }
 
 // eval evaluates the aggregate of the table entry at flat index i. The

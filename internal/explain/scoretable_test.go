@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,9 +52,32 @@ func adversarialUniverse(rng *rand.Rand, agg relation.AggFunc, nCands, T int) *U
 	return u
 }
 
+// checkScoreRow scores every segment of tab into a dense row and checks
+// each listed candidate's γ bits against Metric.Score, and its pick-time τ
+// from ScoreTable.Effect against Metric.Score's τ.
+func checkScoreRow(t *testing.T, ctx string, u *Universe, tab *ScoreTable, m Metric) {
+	t.Helper()
+	T := u.NumTimestamps()
+	row := make([]float64, len(tab.IDs()))
+	for c := 0; c < T; c++ {
+		for tt := 0; tt < T; tt++ {
+			tab.ScoreRow(c, tt, m, row)
+			for k, id := range tab.IDs() {
+				s := u.cands[id].Series
+				wg, we := m.Score(u.agg, u.total[c], u.total[tt], s[c], s[tt])
+				if e := tab.Effect(c, tt, k); math.Float64bits(row[k]) != math.Float64bits(wg) || e != we {
+					t.Fatalf("%s id %d [%d,%d]: got (%v %#x, %v), want (%v %#x, %v)",
+						ctx, id, c, tt, row[k], math.Float64bits(row[k]), e, wg, math.Float64bits(wg), we)
+				}
+			}
+		}
+	}
+}
+
 // TestScoreTableMatchesMetricScoreBitForBit is the kernel's contract: for
 // every aggregate and metric, over adversarial inputs and every segment,
-// ScoreTable.Score yields exactly Metric.Score's γ bits and τ.
+// ScoreTable.ScoreRow yields exactly Metric.Score's γ bits, and
+// ScoreTable.Effect its τ.
 func TestScoreTableMatchesMetricScoreBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nCands, T = 64, 9
@@ -70,46 +94,81 @@ func TestScoreTableMatchesMetricScoreBitForBit(t *testing.T) {
 						}
 					}
 				}
-				tab := NewScoreTable(u, ids)
-				gamma := make([]float64, nCands)
-				effect := make([]Effect, nCands)
-				for c := 0; c < T; c++ {
-					for tt := 0; tt < T; tt++ {
-						tab.Score(c, tt, m, gamma, effect)
-						for _, id := range tab.IDs() {
-							s := u.cands[id].Series
-							wg, we := m.Score(agg, u.total[c], u.total[tt], s[c], s[tt])
-							if math.Float64bits(gamma[id]) != math.Float64bits(wg) || effect[id] != we {
-								t.Fatalf("%v/%v trial %d id %d [%d,%d]: got (%v %#x, %v), want (%v %#x, %v)",
-									agg, m, trial, id, c, tt, gamma[id], math.Float64bits(gamma[id]), effect[id],
-									wg, math.Float64bits(wg), we)
-							}
-						}
-					}
-				}
+				checkScoreRow(t, fmt.Sprintf("%v/%v trial %d", agg, m, trial), u, NewScoreTable(u, ids), m)
 			}
 		}
 	}
 }
 
-// TestScoreTableScoreDoesNotAllocate pins the kernel's hot-path contract.
+// TestScoreTableScoreDoesNotAllocate pins the kernels' hot-path contract.
 func TestScoreTableScoreDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, agg := range []relation.AggFunc{relation.Sum, relation.Count, relation.Avg} {
 		u := adversarialUniverse(rng, agg, 128, 16)
 		tab := NewScoreTable(u, nil)
-		gamma := make([]float64, 128)
-		effect := make([]Effect, 128)
+		row := make([]float64, 128)
 		for _, m := range []Metric{AbsoluteChange, RelativeChange, RiskRatio} {
-			if allocs := testing.AllocsPerRun(50, func() { tab.Score(2, 13, m, gamma, effect) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(50, func() { tab.ScoreRow(2, 13, m, row) }); allocs != 0 {
 				t.Errorf("%v/%v: %v allocs per segment, want 0", agg, m, allocs)
 			}
+		}
+		if allocs := testing.AllocsPerRun(50, func() { tab.Effect(2, 13, 77) }); allocs != 0 {
+			t.Errorf("%v: %v allocs per pick-time τ, want 0", agg, allocs)
+		}
+	}
+}
+
+// TestScoreTableColumnsAfterAppend: an append that registers new
+// candidates leaves them unlisted — the column index maps them to −1 and
+// every listed id to its column — and the refreshed table still scores
+// bit-identically to Metric.Score.
+func TestScoreTableColumnsAfterAppend(t *testing.T) {
+	timeVals, dims, measures := streamRows(12)
+	cut := len(timeVals)
+	for i, tv := range timeVals {
+		if tv >= "d006" {
+			cut = i
+			break
+		}
+	}
+	rel := buildStream(t, timeVals[:cut], dims[:cut], measures[:cut])
+	u, err := NewUniverse(rel, universeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := NewScoreTable(u, nil)
+	some := NewScoreTable(u, []int{0, 2, 3})
+	if err := rel.AppendRows(timeVals[cut:], dims[cut:], measures[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	info, err := u.Append()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NewCandidates == 0 {
+		t.Fatal("the append registered no candidates")
+	}
+	for name, tab := range map[string]*ScoreTable{"all": all, "some": some} {
+		tab.Refresh(info.ChangedFrom)
+		for id := info.OldCandidates; id < u.NumCandidates(); id++ {
+			if k := tab.Column(id); k != -1 {
+				t.Errorf("%s: new candidate %d maps to column %d, want -1", name, id, k)
+			}
+		}
+		for k, id := range tab.IDs() {
+			if got := tab.Column(id); got != k {
+				t.Errorf("%s: listed id %d maps to column %d, want %d", name, id, got, k)
+			}
+		}
+		for _, m := range []Metric{AbsoluteChange, RelativeChange, RiskRatio} {
+			checkScoreRow(t, fmt.Sprintf("%s/%v", name, m), u, tab, m)
 		}
 	}
 }
 
 // TestScoreTableLayout checks the kept components per aggregate, the
-// membership views, and that scoring leaves unlisted entries alone.
+// membership views and column index, and that scoring writes exactly one
+// entry per listed candidate.
 func TestScoreTableLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []struct {
@@ -153,12 +212,15 @@ func TestScoreTableLayout(t *testing.T) {
 		if NewScoreTable(u, nil).Allowed() != nil {
 			t.Errorf("%v: a table over every candidate must report a nil bitmap", tc.agg)
 		}
-		gamma := []float64{-7, -7, -7, -7, -7, -7, -7, -7, -7, -7}
-		tab.Score(0, 3, AbsoluteChange, gamma, make([]Effect, 10))
-		for _, id := range []int{0, 2, 3, 5, 6, 8, 9} {
-			if gamma[id] != -7 {
-				t.Errorf("%v: unlisted id %d was written", tc.agg, id)
+		for id, want := range []int{-1, 0, -1, -1, 1, -1, -1, 2, -1, -1} {
+			if got := tab.Column(id); got != want {
+				t.Errorf("%v: Column(%d) = %d, want %d", tc.agg, id, got, want)
 			}
+		}
+		row := []float64{-7, -7, -7, -7}
+		tab.ScoreRow(0, 3, AbsoluteChange, row)
+		if row[3] != -7 {
+			t.Errorf("%v: ScoreRow wrote past its %d columns", tc.agg, len(tab.IDs()))
 		}
 	}
 }

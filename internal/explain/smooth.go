@@ -1,8 +1,6 @@
 package explain
 
 import (
-	"fmt"
-
 	"repro/internal/relation"
 	"repro/internal/timeseries"
 )
@@ -138,36 +136,4 @@ func smoothSeries(sc []relation.SumCount, window int) []relation.SumCount {
 		out[i] = relation.SumCount{Sum: sums[i], Count: counts[i]}
 	}
 	return out
-}
-
-// SliceTime returns a view of the universe restricted to point positions
-// [from, to] inclusive: the overall and per-candidate series are
-// re-sliced, while the candidate set and drill-down adjacency are shared
-// with the receiver. It supports explaining a user-selected sub-period
-// without re-running enumeration.
-func (u *Universe) SliceTime(from, to int) (*Universe, error) {
-	if from < 0 || to >= len(u.total) || from >= to {
-		return nil, fmt.Errorf("explain: invalid time slice [%d, %d] of %d points", from, to, len(u.total))
-	}
-	out := &Universe{
-		rel:       u.rel,
-		agg:       u.agg,
-		measure:   u.measure,
-		explainBy: u.explainBy,
-		maxOrder:  u.maxOrder,
-		total:     u.total[from : to+1],
-		index:     u.index,
-		// The drill-down adjacency and ancestor closure are positional
-		// over candidate IDs, which a time slice preserves, so the solver
-		// can run against the sliced universe directly.
-		childrenFlat: u.childrenFlat,
-		dimPos:       u.dimPos,
-		ancOff:       u.ancOff,
-		ancIDs:       u.ancIDs,
-	}
-	out.cands = make([]*Candidate, len(u.cands))
-	for i, c := range u.cands {
-		out.cands[i] = &Candidate{ID: c.ID, Conj: c.Conj, Series: c.Series[from : to+1]}
-	}
-	return out, nil
 }

@@ -68,41 +68,3 @@ func spread(v []float64) float64 {
 	}
 	return hi - lo
 }
-
-func TestSliceTime(t *testing.T) {
-	r := buildNoisy(t)
-	u, err := NewUniverse(r, Config{Measure: "v", Agg: relation.Sum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := u.SliceTime(3, 8)
-	if err != nil {
-		t.Fatalf("SliceTime: %v", err)
-	}
-	if got, want := sub.NumTimestamps(), 6; got != want {
-		t.Fatalf("sliced n = %d, want %d", got, want)
-	}
-	full := u.TotalValues()
-	sliced := sub.TotalValues()
-	for i := range sliced {
-		if sliced[i] != full[3+i] {
-			t.Errorf("sliced[%d] = %g, want %g", i, sliced[i], full[3+i])
-		}
-	}
-	// γ over the slice equals γ over the same absolute positions.
-	gFull, eFull := u.Gamma(0, 3, 8, AbsoluteChange)
-	gSub, eSub := sub.Gamma(0, 0, 5, AbsoluteChange)
-	if gFull != gSub || eFull != eSub {
-		t.Errorf("slice γ = (%g,%v), want (%g,%v)", gSub, eSub, gFull, eFull)
-	}
-	// Candidate set is shared.
-	if sub.NumCandidates() != u.NumCandidates() {
-		t.Error("slice changed the candidate set")
-	}
-	// Invalid ranges error.
-	for _, rng := range [][2]int{{-1, 5}, {3, 20}, {5, 5}, {8, 3}} {
-		if _, err := u.SliceTime(rng[0], rng[1]); err == nil {
-			t.Errorf("SliceTime(%d,%d): want error", rng[0], rng[1])
-		}
-	}
-}

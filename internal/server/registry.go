@@ -284,6 +284,25 @@ func (g *registry) isCatalogDataset(name string) bool {
 // validation. A fallback schedules a background rewrite of the snapshot;
 // otherwise every restart would parse the CSV again until the dataset's
 // next upload or append.
+// defaultSmooth returns the named dataset's default smoothing window: a
+// catalog dataset's manifest window, read without loading its data, or a
+// built-in's. An unknown dataset reports 0; its load fails later.
+func (g *registry) defaultSmooth(name string) int {
+	if !isBuiltinDataset(name) {
+		if g.cat != nil {
+			if m, ok := g.cat.Manifest(name); ok {
+				return m.SmoothWindow
+			}
+		}
+		return 0
+	}
+	d, err := g.dataset(name)
+	if err != nil {
+		return 0
+	}
+	return d.SmoothWindow
+}
+
 func (g *registry) loadDataset(name string) (*datasets.Dataset, error) {
 	if isBuiltinDataset(name) {
 		return demoDataset(name)

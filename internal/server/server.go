@@ -548,6 +548,12 @@ func (s *Server) paramsFromQuery(q url.Values) (params, error) {
 			return p, httpErrf(http.StatusBadRequest, "bad epsilon %q (want 0 < epsilon <= 0.5)", v)
 		}
 	}
+	// smooth=0 asks for the dataset's default window. Keys name the window
+	// the engine runs, so 0 and the explicit default share one pooled
+	// engine and one cached answer.
+	if p.smooth == 0 {
+		p.smooth = s.reg.defaultSmooth(p.dataset)
+	}
 	return p, nil
 }
 
