@@ -255,7 +255,8 @@ func BenchmarkPrecomputeLiquorParallel(b *testing.B) {
 }
 
 // BenchmarkPrecomputeKernel measures the columnar integer-keyed group-by
-// kernel on the liquor rows.
+// kernel on the liquor rows: plan, then fill a right-sized arena, the two
+// passes NewUniverse runs per explain-by subset.
 func BenchmarkPrecomputeKernel(b *testing.B) {
 	d := datasets.Liquor()
 	var dims []int
@@ -265,9 +266,11 @@ func BenchmarkPrecomputeKernel(b *testing.B) {
 	if len(dims) > 3 {
 		dims = dims[:3]
 	}
+	m, T := d.Rel.MeasureIndex(d.Measure), d.Rel.NumTimestamps()
 	b.Run("columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d.Rel.GroupBySeriesColumnar(dims, d.Rel.MeasureIndex(d.Measure))
+			p := d.Rel.PlanGroupBy(dims, m)
+			p.FillArena(make([]relation.SumCount, p.NumGroups()*T), T)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package tsexplain_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -136,7 +137,7 @@ func TestGoldenCorpus(t *testing.T) {
 					t.Fatalf("engine: %v", err)
 				}
 				for _, k := range goldenKs {
-					res, err := eng.ExplainWithK(k)
+					res, err := eng.ExplainWithKCtx(context.Background(), k)
 					if err != nil {
 						t.Fatalf("explain k=%d: %v", k, err)
 					}
@@ -207,7 +208,7 @@ func TestGoldenHierarchyLeafDifferential(t *testing.T) {
 		}
 		var out []byte
 		for _, k := range goldenKs {
-			res, err := eng.ExplainWithK(k)
+			res, err := eng.ExplainWithKCtx(context.Background(), k)
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
@@ -257,7 +258,7 @@ func TestGoldenApproxDifferential(t *testing.T) {
 				t.Fatalf("approx engine: %v", err)
 			}
 			for _, k := range goldenKs {
-				res, err := approx.ExplainWithK(k)
+				res, err := approx.ExplainWithKCtx(context.Background(), k)
 				if err != nil {
 					t.Fatalf("approx explain k=%d: %v", k, err)
 				}

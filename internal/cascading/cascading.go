@@ -95,9 +95,6 @@ func NewSolver(u *explain.Universe, metric explain.Metric, m int) *Solver {
 // Metric returns the difference metric the solver scores with.
 func (s *Solver) Metric() explain.Metric { return s.metric }
 
-// M returns the explanation quota m.
-func (s *Solver) M() int { return s.m }
-
 // scoreRow scores segment [c, t] into the row scratch: γ of every listed
 // candidate, by table column, so per-segment cost scales with the
 // selectable set rather than ε.

@@ -332,6 +332,60 @@ func TestDPMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// overlaps reports whether two conjunctions can select a common record in
+// some relation: they overlap unless they pin the same dimension to
+// different values. This is the non-overlap test of Definition 3.4
+// (σ_E1 R ∩ σ_E2 R = ∅ for every R exactly when they disagree on a shared
+// dimension).
+func overlaps(c, other relation.Conjunction) bool {
+	i, j := 0, 0
+	for i < len(c) && j < len(other) {
+		switch {
+		case c[i].Dim < other[j].Dim:
+			i++
+		case c[i].Dim > other[j].Dim:
+			j++
+		default:
+			if c[i].Value != other[j].Value {
+				return false
+			}
+			i++
+			j++
+		}
+	}
+	return true
+}
+
+// TestConjunctionOverlaps pins the overlap oracle the brute-force checks
+// rely on.
+func TestConjunctionOverlaps(t *testing.T) {
+	pred := func(dim int, v uint32) relation.Pred { return relation.Pred{Dim: dim, Value: v} }
+	ny := relation.Conjunction{pred(0, 0)}
+	ca := relation.Conjunction{pred(0, 1)}
+	beer := relation.Conjunction{pred(1, 0)}
+	nyBeer := relation.Conjunction{pred(0, 0), pred(1, 0)}
+
+	cases := []struct {
+		a, b relation.Conjunction
+		want bool
+	}{
+		{ny, ca, false},        // same dim, different value
+		{ny, beer, true},       // different dims can intersect
+		{ny, nyBeer, true},     // ancestor-descendant overlap
+		{ca, nyBeer, false},    // disagree on state
+		{nil, ny, true},        // root overlaps everything
+		{nyBeer, nyBeer, true}, // self overlap
+	}
+	for i, tc := range cases {
+		if got := overlaps(tc.a, tc.b); got != tc.want {
+			t.Errorf("case %d: overlaps = %v, want %v", i, got, tc.want)
+		}
+		if got := overlaps(tc.b, tc.a); got != tc.want {
+			t.Errorf("case %d (sym): overlaps = %v, want %v", i, got, tc.want)
+		}
+	}
+}
+
 // bruteForceBest enumerates all subsets of the candidates allowed admits
 // (nil: every candidate) of size ≤ m that are pairwise non-overlapping and
 // returns the best total γ.
@@ -353,7 +407,7 @@ func bruteForceBest(u *explain.Universe, c, t, m int, allowed []bool) float64 {
 		for id := start; id < n; id++ {
 			ok := allowed == nil || allowed[id]
 			for _, o := range chosen {
-				if u.Candidate(id).Conj.Overlaps(u.Candidate(o).Conj) {
+				if overlaps(u.Candidate(id).Conj, u.Candidate(o).Conj) {
 					ok = false
 					break
 				}
@@ -373,7 +427,7 @@ func assertNonOverlapping(t *testing.T, u *explain.Universe, res Result) {
 		for j := i + 1; j < len(res.Explanations); j++ {
 			a := u.Candidate(res.Explanations[i].ID).Conj
 			b := u.Candidate(res.Explanations[j].ID).Conj
-			if a.Overlaps(b) {
+			if overlaps(a, b) {
 				t.Errorf("overlapping picks: %q and %q", describe(u, res.Explanations[i].ID), describe(u, res.Explanations[j].ID))
 			}
 		}

@@ -425,9 +425,11 @@ func TestCreateWithDerivedColumns(t *testing.T) {
 	if len(rel.Hierarchies()) != 1 {
 		t.Fatalf("hierarchies = %d, want 1", len(rel.Hierarchies()))
 	}
-	edges, ok := rel.RangeBinEdges("price_bin")
-	if !ok || len(edges) == 0 {
-		t.Fatalf("price_bin edges = %v, %v", edges, ok)
+	// Each bin label renders its edges exactly, and every equi-depth bin
+	// holds at least the value its lower edge was cut at, so the per-row
+	// comparison after the reload below pins every frozen edge.
+	if n := rel.Dim(rel.DimIndex("price_bin")).Cardinality(); n < 2 {
+		t.Fatalf("price_bin has %d bins, want at least one edge", n)
 	}
 
 	// The persisted CSV holds base columns only (loc, not the derived
@@ -451,15 +453,6 @@ func TestCreateWithDerivedColumns(t *testing.T) {
 	if loaded.NumDims() != rel.NumDims() || loaded.NumRows() != rel.NumRows() {
 		t.Fatalf("reload shape differs: %d dims %d rows vs %d dims %d rows",
 			loaded.NumDims(), loaded.NumRows(), rel.NumDims(), rel.NumRows())
-	}
-	loadedEdges, ok := loaded.RangeBinEdges("price_bin")
-	if !ok || len(loadedEdges) != len(edges) {
-		t.Fatalf("reloaded edges %v, want %v", loadedEdges, edges)
-	}
-	for i := range edges {
-		if loadedEdges[i] != edges[i] {
-			t.Fatalf("edge %d: reloaded %v, created %v", i, loadedEdges[i], edges[i])
-		}
 	}
 	for row := 0; row < rel.NumRows(); row++ {
 		for d := 0; d < rel.NumDims(); d++ {

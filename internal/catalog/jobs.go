@@ -81,9 +81,6 @@ func OpenJobStore(dir string) (*JobStore, error) {
 	return &JobStore{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *JobStore) Dir() string { return s.dir }
-
 func (s *JobStore) path(id string) string { return filepath.Join(s.dir, id+".json") }
 
 // Put persists the record, replacing any previous version of the job.

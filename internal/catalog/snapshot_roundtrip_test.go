@@ -75,6 +75,13 @@ func universesBitIdentical(t *testing.T, a, b *explain.Universe) {
 	}
 }
 
+// dimID returns the dictionary id of dimension d at row, read back through
+// the column's dictionary.
+func dimID(r *relation.Relation, d, row int) uint32 {
+	id, _ := r.Dim(d).ID(r.DimValue(d, row))
+	return id
+}
+
 // roundTripDataset saves and restores one dataset's snapshot and checks
 // the restored relation and universe against the originals bit for bit.
 // It returns the snapshot's on-disk size.
@@ -117,7 +124,7 @@ func roundTripDataset(t *testing.T, name string, rel *relation.Relation, explain
 	}
 	for d := 0; d < loaded.NumDims(); d++ {
 		for row := 0; row < loaded.NumRows(); row++ {
-			if loaded.DimID(d, row) != rel2.DimID(d, row) {
+			if dimID(loaded, d, row) != dimID(rel2, d, row) {
 				t.Fatalf("dim %d row %d id changed after restore", d, row)
 			}
 		}

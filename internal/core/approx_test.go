@@ -141,7 +141,7 @@ func TestApproxEpsilonRefinement(t *testing.T) {
 
 	// K reuse on the same engine: a second explain with another K serves
 	// from the already refined selection.
-	res2, err := eng.ExplainWithK(6)
+	res2, err := eng.ExplainWithKCtx(context.Background(), 6)
 	if err != nil {
 		t.Fatalf("explain k=6: %v", err)
 	}

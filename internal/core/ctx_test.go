@@ -35,7 +35,7 @@ func TestExplainWithKCtxCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The abort left the engine consistent: an unbounded explain succeeds.
-	if _, err := eng.ExplainWithK(0); err != nil {
+	if _, err := eng.ExplainWithKCtx(context.Background(), 0); err != nil {
 		t.Fatalf("explain after aborted call: %v", err)
 	}
 }
@@ -70,7 +70,7 @@ func TestExplainDeadlineMidFlight(t *testing.T) {
 
 	// Solves cached before the abort are kept, and a later uncancelled
 	// explain finishes normally on the same engine.
-	res, err := eng.ExplainWithK(0)
+	res, err := eng.ExplainWithKCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("explain after aborted call: %v", err)
 	}

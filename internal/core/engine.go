@@ -506,7 +506,7 @@ func (e *Engine) Explainer() *segment.Explainer { return e.exp }
 // counted once at construction rather than rescanned per call.
 func (e *Engine) FilteredCount() int { return e.filtered }
 
-// MemoryFootprint estimates the engine's heap cost in bytes: the
+// ResidentBytes estimates the engine's heap-resident cost in bytes: the
 // candidate universe's series arenas, the Cascading Analysts score table
 // as currently built, the per-segment explanation cache's triangle, and
 // the variance calculator's caches once an explain created it.
@@ -514,8 +514,12 @@ func (e *Engine) FilteredCount() int { return e.filtered }
 // round, so the figure changes with use; the serving layer's registry
 // re-reads it after every request that drives the engine to enforce a
 // memory budget across pooled engines. It is an estimate, tuned for
-// consistent relative cost rather than byte-exact accounting.
-func (e *Engine) MemoryFootprint() int64 {
+// consistent relative cost rather than byte-exact accounting. When the
+// candidate arena aliases a snapshot mapping, the arena is excluded here
+// and reported by MappedBytes instead: resident bytes are charged against
+// the serving memory budget, mapped bytes are kernel-evictable and only
+// tracked.
+func (e *Engine) ResidentBytes() int64 {
 	b := e.u.ApproxBytes()
 	// Flat segment-cache triangle (n ≤ 1024): one generation-tagged slot
 	// per (c, t) pair; cached cascading results add to it as segments are
@@ -533,13 +537,6 @@ func (e *Engine) MemoryFootprint() int64 {
 	return b
 }
 
-// ResidentBytes is the engine's heap-resident cost — MemoryFootprint
-// under its charging name. When the candidate arena aliases a snapshot
-// mapping, the arena is excluded here and reported by MappedBytes
-// instead: resident bytes are charged against the serving memory budget,
-// mapped bytes are kernel-evictable and only tracked.
-func (e *Engine) ResidentBytes() int64 { return e.MemoryFootprint() }
-
 // MappedBytes reports the size of the candidate arena when it aliases a
 // read-only snapshot mapping, and 0 for heap-backed engines.
 func (e *Engine) MappedBytes() int64 { return e.u.MappedBytes() }
@@ -553,20 +550,15 @@ func (e *Engine) Explain() (*Result, error) {
 	return e.explainWithPositions(nil)
 }
 
-// ExplainWithK runs the full pipeline with the given segment-count
+// ExplainWithKCtx runs the full pipeline with the given segment-count
 // override: k > 0 fixes K, k ≤ 0 selects it with the elbow method. It
 // lets one engine serve requests with different K without being rebuilt —
 // the per-segment explanation cache is K-independent, so everything after
-// the first call reuses it.
-func (e *Engine) ExplainWithK(k int) (*Result, error) {
-	return e.explainPositionsK(nil, nil, k)
-}
-
-// ExplainWithKCtx is ExplainWithK with a cancellation context: the
-// pipeline polls ctx between per-segment solves (the unit of expensive
-// work) and aborts with ctx's error once it is cancelled. An aborted
-// explain leaves the engine consistent — segments solved before the
-// cancellation stay cached and benefit the next call.
+// the first call reuses it. The pipeline polls ctx between per-segment
+// solves (the unit of expensive work) and aborts with ctx's error once it
+// is cancelled. An aborted explain leaves the engine consistent —
+// segments solved before the cancellation stay cached and benefit the
+// next call.
 func (e *Engine) ExplainWithKCtx(ctx context.Context, k int) (*Result, error) {
 	return e.explainPositionsK(ctx, nil, k)
 }
@@ -588,7 +580,7 @@ func (e *Engine) explainPositionsK(ctx context.Context, positions []int, fixedK 
 	return e.explainExactK(ctx, positions, fixedK)
 }
 
-// explainExactK is the pipeline body behind Explain, ExplainWithK,
+// explainExactK is the pipeline body behind Explain, ExplainWithKCtx,
 // and the incremental position-restricted path.
 func (e *Engine) explainExactK(ctx context.Context, positions []int, fixedK int) (*Result, error) {
 	cancel := ctxCancelFunc(ctx)

@@ -76,37 +76,6 @@ func (inc *Incremental) AppendRows(timeVals []string, dims [][]string, measures 
 	return inc.ingest(oldN)
 }
 
-// Append ingests a delta relation — same time dimension, dimensions, and
-// measures as the base relation, holding only the newly arrived rows —
-// and returns the refreshed result. The delta's rows are replayed in its
-// own series order, so its time labels extend the base series in order.
-func (inc *Incremental) Append(delta *relation.Relation) (*Result, error) {
-	rel := inc.eng.rel
-	if delta.TimeName() != rel.TimeName() {
-		return nil, fmt.Errorf("core: delta time dimension %q, want %q", delta.TimeName(), rel.TimeName())
-	}
-	if err := sameNames("dimension", delta.DimNames(), rel.DimNames()); err != nil {
-		return nil, err
-	}
-	if err := sameNames("measure", delta.MeasureNames(), rel.MeasureNames()); err != nil {
-		return nil, err
-	}
-	timeVals, dims, measures := delta.RowBatch(delta.RowsByTime(), 0, delta.NumTimestamps())
-	return inc.AppendRows(timeVals, dims, measures)
-}
-
-func sameNames(kind string, got, want []string) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("core: delta has %d %s attributes, want %d", len(got), kind, len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return fmt.Errorf("core: delta %s %d is %q, want %q", kind, i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
 // ingest runs the post-append refresh: universe/filter extension, cache
 // invalidation of just the changed suffix, and the Section 8 restricted
 // re-segmentation.

@@ -100,7 +100,7 @@ func TestProgressiveRefinesToExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exact engine: %v", err)
 	}
-	want, err := exact.ExplainWithK(3)
+	want, err := exact.ExplainWithKCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatalf("exact explain: %v", err)
 	}

@@ -1,7 +1,6 @@
 package datasets
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -263,10 +262,4 @@ func buildLiquor() {
 		panic("datasets: liquor finish: " + err.Error())
 	}
 	liquorRel = rel
-}
-
-// LiquorProductsKey is exported for tests that need to recompute the
-// distinct-product key format.
-func LiquorProductsKey(bv, pack, cat, vendor string) string {
-	return fmt.Sprintf("%s|%s|%s|%s", bv, pack, cat, vendor)
 }

@@ -1,6 +1,7 @@
 // Package evalmetrics implements the evaluation measures of Sections 4.2.2
-// and 7.3: the ground-truth-rank protocol that compares variance designs,
-// and the normalized segmentation edit distance ("distance percent") that
+// and 7.3: the random schemes and competition ranks of the
+// ground-truth-rank protocol that compares variance designs, and the
+// normalized segmentation edit distance ("distance percent") that
 // compares segmentation outputs against ground truth.
 package evalmetrics
 
@@ -109,25 +110,6 @@ func RandomScheme(rng *rand.Rand, n, k int) []int {
 	cuts = append(cuts, n-1)
 	sort.Ints(cuts)
 	return cuts
-}
-
-// GroundTruthRank implements the Figure 6 protocol for one metric on one
-// dataset: sample `samples` random segmentation schemes with the ground
-// truth's K and return the rank of the ground truth's objective value
-// among them — 1 + the number of sampled schemes with strictly lower
-// total variance. Lower is better; 1 means no sampled scheme beats the
-// ground truth. objective evaluates Σ|P_i|var(P_i) for a full cut list.
-func GroundTruthRank(objective func(cuts []int) float64, truth []int, n, samples int, rng *rand.Rand) int {
-	k := len(truth) - 1
-	truthVar := objective(truth)
-	rank := 1
-	for s := 0; s < samples; s++ {
-		cand := RandomScheme(rng, n, k)
-		if objective(cand) < truthVar-1e-12 {
-			rank++
-		}
-	}
-	return rank
 }
 
 // CompetitionRanks converts raw scores (lower is better) into standard

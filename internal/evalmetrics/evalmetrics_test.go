@@ -92,30 +92,6 @@ func TestRandomScheme(t *testing.T) {
 	RandomScheme(rng, 5, 10)
 }
 
-func TestGroundTruthRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	truth := []int{0, 50, 99}
-	// Objective that the truth minimizes uniquely: distance of the
-	// interior cut from 50.
-	objective := func(cuts []int) float64 {
-		var c float64
-		for _, p := range cuts[1 : len(cuts)-1] {
-			c += math.Abs(float64(p - 50))
-		}
-		return c
-	}
-	rank := GroundTruthRank(objective, truth, 100, 500, rng)
-	if rank != 1 {
-		t.Errorf("rank = %d, want 1 for a uniquely optimal truth", rank)
-	}
-	// Inverted objective: almost everything beats the truth.
-	inverted := func(cuts []int) float64 { return -objective(cuts) }
-	rank = GroundTruthRank(inverted, truth, 100, 500, rng)
-	if rank < 400 {
-		t.Errorf("rank = %d, want near 501 for a pessimal truth", rank)
-	}
-}
-
 func TestCompetitionRanks(t *testing.T) {
 	got := CompetitionRanks([]float64{3, 1, 2})
 	want := []float64{3, 1, 2}

@@ -35,6 +35,3 @@ func (f *File) Data() []byte { return f.data }
 // Mapped reports whether the contents are backed by a kernel memory
 // mapping (true) or a heap copy (false).
 func (f *File) Mapped() bool { return f.mapped }
-
-// Size returns the length of the file contents in bytes.
-func (f *File) Size() int64 { return int64(len(f.data)) }

@@ -90,23 +90,6 @@ func (r *Relation) AggregateSeries(m int) []SumCount {
 	return out
 }
 
-// AggregateSeriesWhere computes the decomposed per-timestamp aggregate
-// state of measure m over rows matching the conjunction (the slice
-// σ_E R aggregated by time).
-func (r *Relation) AggregateSeriesWhere(m int, c Conjunction) []SumCount {
-	out := make([]SumCount, r.NumTimestamps())
-	vals := r.measures[m].vals
-	for row := 0; row < r.numRows; row++ {
-		if !c.Matches(r, row) {
-			continue
-		}
-		t := r.timeIdx[row]
-		out[t].Sum += vals[row]
-		out[t].Count++
-	}
-	return out
-}
-
 // Values evaluates the aggregate function over a decomposed series,
 // producing the aggregated time series values p_i.v of Definition 3.6.
 func Values(f AggFunc, sc []SumCount) []float64 {

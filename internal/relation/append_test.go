@@ -51,8 +51,8 @@ func sameRelation(t *testing.T, got, want *Relation) {
 			t.Fatalf("row %d time index %d, want %d", row, got.TimeIndex(row), want.TimeIndex(row))
 		}
 		for d := 0; d < want.NumDims(); d++ {
-			if got.DimID(d, row) != want.DimID(d, row) {
-				t.Fatalf("row %d dim %d id %d, want %d", row, d, got.DimID(d, row), want.DimID(d, row))
+			if DimID(got, d, row) != DimID(want, d, row) {
+				t.Fatalf("row %d dim %d id %d, want %d", row, d, DimID(got, d, row), DimID(want, d, row))
 			}
 		}
 		for m := 0; m < want.NumMeasures(); m++ {
@@ -197,7 +197,7 @@ func TestGroupByPlanAppendMatchesFresh(t *testing.T) {
 		}
 		plan.FillRows(0, func(rank int) []SumCount { return series[rank] })
 
-		fresh := streamed.GroupBySeriesColumnar(dsel, 0)
+		fresh := GroupBySeriesColumnar(streamed, dsel, 0)
 		if fresh.NumGroups() != plan.NumGroups() {
 			t.Fatalf("dims %v: fresh has %d groups, streamed %d", dsel, fresh.NumGroups(), plan.NumGroups())
 		}
@@ -274,7 +274,7 @@ func TestGroupByPlanAppendFallbackOverflow(t *testing.T) {
 	}
 	plan.AppendRows(fromRow)
 
-	fresh := rel.GroupBySeriesColumnar(dsel, 0)
+	fresh := GroupBySeriesColumnar(rel, dsel, 0)
 	if plan.NumGroups() != fresh.NumGroups() {
 		t.Fatalf("groups = %d, want %d", plan.NumGroups(), fresh.NumGroups())
 	}

@@ -112,9 +112,9 @@ func viewOf(r *relation.Relation) relView {
 		v.TimeIdx = append(v.TimeIdx, r.TimeIndex(row))
 	}
 	for d := 0; d < r.NumDims(); d++ {
-		dv := dimView{Name: r.Dim(d).Name(), Dict: r.Dim(d).Values()}
+		dv := dimView{Name: r.Dim(d).Name(), Dict: relation.Dictionary(r.Dim(d))}
 		for row := 0; row < r.NumRows(); row++ {
-			dv.IDs = append(dv.IDs, r.DimID(d, row))
+			dv.IDs = append(dv.IDs, relation.DimID(r, d, row))
 		}
 		v.Dims = append(v.Dims, dv)
 	}

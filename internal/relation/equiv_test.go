@@ -16,7 +16,7 @@ import (
 func checkKernelEquivalence(t *testing.T, name string, r *relation.Relation, dims []int) {
 	t.Helper()
 	naive := relation.NaiveGroupBy(r, dims, 0)
-	col := r.GroupBySeriesColumnar(dims, 0)
+	col := relation.GroupBySeriesColumnar(r, dims, 0)
 	if got, want := col.NumGroups(), len(naive); got != want {
 		t.Fatalf("%s dims %v: columnar %d groups, naive %d", name, dims, got, want)
 	}

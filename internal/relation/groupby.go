@@ -11,7 +11,7 @@ import (
 // The kernel runs in two passes. Pass 1 (PlanGroupBy) scans the rows once,
 // packs each row's dictionary-id tuple over the requested dimensions into a
 // single uint64 and assigns dense group slots through a map[uint64]int32 —
-// no per-row heap allocation, no string hashing. Pass 2 (Fill) scans the
+// no per-row heap allocation, no string hashing. Pass 2 (FillArena) scans the
 // rows again and accumulates each row's (sum, count) contribution into a
 // single contiguous []SumCount arena of size groups×T, instead of one
 // slice allocation per group.
@@ -24,41 +24,6 @@ import (
 // 64 bits (astronomical cardinalities), the kernel transparently falls
 // back to byte-string keys for slot assignment; the output format and the
 // group ordering are identical either way.
-
-// GroupedSeries is the columnar result of one group-by: for every distinct
-// dictionary-id combination of Dims that occurs in the relation, the
-// decomposed per-timestamp aggregate of the planned measure. Groups are
-// ordered by their id tuples (lexicographically ascending), which makes
-// the result deterministic and mergeable.
-type GroupedSeries struct {
-	// Dims holds the grouped dimension indexes, ascending.
-	Dims []int
-	// T is the series length (the relation's timestamp count).
-	T int
-
-	n     int        // number of distinct groups
-	ids   []uint32   // group-major id tuples: group g owns ids[g*len(Dims):(g+1)*len(Dims)]
-	arena []SumCount // group-major series: group g owns arena[g*T:(g+1)*T]
-}
-
-// NumGroups returns the number of distinct groups.
-func (g *GroupedSeries) NumGroups() int { return g.n }
-
-// GroupIDs returns group i's dictionary-id tuple, parallel to Dims. The
-// slice aliases kernel storage and must not be modified.
-func (g *GroupedSeries) GroupIDs(i int) []uint32 {
-	d := len(g.Dims)
-	return g.ids[i*d : (i+1)*d : (i+1)*d]
-}
-
-// Series returns group i's decomposed per-timestamp aggregate. The slice
-// aliases the arena and must not be modified.
-func (g *GroupedSeries) Series(i int) []SumCount {
-	return g.arena[i*g.T : (i+1)*g.T : (i+1)*g.T]
-}
-
-// Arena exposes the backing arena (all groups' series, contiguous).
-func (g *GroupedSeries) Arena() []SumCount { return g.arena }
 
 // GroupByPlan is the pass-1 state of the columnar kernel: the dense
 // slot assignment for every distinct group, sorted into canonical order,
@@ -454,33 +419,6 @@ func (p *GroupByPlan) FillArena(arena []SumCount, stride int) {
 			sc.Count++
 		}
 	}
-}
-
-// Fill runs pass 2 into the given arena, which must have length
-// NumGroups()×T, and returns the columnar result viewing it.
-func (p *GroupByPlan) Fill(arena []SumCount) *GroupedSeries {
-	T := p.r.NumTimestamps()
-	if len(arena) != p.NumGroups()*T {
-		panic("relation: GroupByPlan.Fill arena has wrong length")
-	}
-	if p.NumGroups() > 0 {
-		p.FillArena(arena, T)
-	}
-
-	// Reorder the first-occurrence id tuples into sorted group order.
-	d := len(p.dims)
-	ids := make([]uint32, len(p.ids))
-	for slot := 0; slot < p.n; slot++ {
-		copy(ids[int(p.perm[slot])*d:], p.ids[slot*d:slot*d+d])
-	}
-	return &GroupedSeries{Dims: p.dims, T: T, n: p.n, ids: ids, arena: arena}
-}
-
-// GroupBySeriesColumnar is the one-shot form of the columnar kernel:
-// plan, allocate a right-sized arena, and fill it.
-func (r *Relation) GroupBySeriesColumnar(dims []int, m int) *GroupedSeries {
-	p := r.PlanGroupBy(dims, m)
-	return p.Fill(make([]SumCount, p.NumGroups()*r.NumTimestamps()))
 }
 
 // bitsFor returns the number of bits needed to store ids 0..card-1.

@@ -28,6 +28,77 @@ func buildGroupByRel(t *testing.T) *Relation {
 	return r
 }
 
+// GroupedSeries is the one-shot result of a columnar group-by the checks
+// below (and the dataset-scale checks in package relation_test) compare:
+// for every distinct dictionary-id combination of Dims, the decomposed
+// per-timestamp aggregate of the planned measure, groups ordered by their
+// id tuples (lexicographically ascending).
+type GroupedSeries struct {
+	// Dims holds the grouped dimension indexes, ascending.
+	Dims []int
+	// T is the series length (the relation's timestamp count).
+	T int
+
+	n     int        // number of distinct groups
+	ids   []uint32   // group-major id tuples: group g owns ids[g*len(Dims):(g+1)*len(Dims)]
+	arena []SumCount // group-major series: group g owns arena[g*T:(g+1)*T]
+}
+
+// NumGroups returns the number of distinct groups.
+func (g *GroupedSeries) NumGroups() int { return g.n }
+
+// GroupIDs returns group i's dictionary-id tuple, parallel to Dims. The
+// slice aliases kernel storage and must not be modified.
+func (g *GroupedSeries) GroupIDs(i int) []uint32 {
+	d := len(g.Dims)
+	return g.ids[i*d : (i+1)*d : (i+1)*d]
+}
+
+// Series returns group i's decomposed per-timestamp aggregate. The slice
+// aliases the arena and must not be modified.
+func (g *GroupedSeries) Series(i int) []SumCount {
+	return g.arena[i*g.T : (i+1)*g.T : (i+1)*g.T]
+}
+
+// fill runs pass 2 of p into the given arena, which must have length
+// NumGroups()×T, and returns the columnar result viewing it.
+func fill(p *GroupByPlan, arena []SumCount) *GroupedSeries {
+	T := p.r.NumTimestamps()
+	if len(arena) != p.NumGroups()*T {
+		panic("relation: fill arena has wrong length")
+	}
+	if p.NumGroups() > 0 {
+		p.FillArena(arena, T)
+	}
+
+	// Reorder the first-occurrence id tuples into sorted group order.
+	d := len(p.dims)
+	ids := make([]uint32, len(p.ids))
+	for slot := 0; slot < p.n; slot++ {
+		copy(ids[int(p.perm[slot])*d:], p.ids[slot*d:slot*d+d])
+	}
+	return &GroupedSeries{Dims: p.dims, T: T, n: p.n, ids: ids, arena: arena}
+}
+
+// GroupBySeriesColumnar is the one-shot form of the columnar kernel:
+// plan, allocate a right-sized arena, and fill it.
+func GroupBySeriesColumnar(r *Relation, dims []int, m int) *GroupedSeries {
+	p := r.PlanGroupBy(dims, m)
+	return fill(p, make([]SumCount, p.NumGroups()*r.NumTimestamps()))
+}
+
+// DimID returns the dictionary id of dimension dim at the given row. It
+// and Dictionary are exported for the checks in package relation_test.
+func DimID(r *Relation, dim, row int) uint32 { return r.dims[dim].ids[row] }
+
+// Dictionary returns a copy of the column's dictionary (all distinct
+// values, in first-appearance order).
+func Dictionary(c *DimColumn) []string {
+	out := make([]string, len(c.dict))
+	copy(out, c.dict)
+	return out
+}
+
 // NaiveGroupBy is the reference the columnar kernel is checked against:
 // row by row, every distinct dictionary-id tuple of dims gets its own
 // per-timestamp (sum, count) series of measure m, keyed by TupleKey. It is
@@ -38,7 +109,7 @@ func NaiveGroupBy(r *Relation, dims []int, m int) map[string][]SumCount {
 	var key []byte
 	for row := 0; row < r.NumRows(); row++ {
 		for i, d := range dims {
-			ids[i] = r.DimID(d, row)
+			ids[i] = DimID(r, d, row)
 		}
 		key = appendTupleKey(key[:0], ids)
 		sc, ok := out[string(key)]
@@ -67,7 +138,7 @@ func TestColumnarGroupByMatchesNaive(t *testing.T) {
 	r := buildGroupByRel(t)
 	for _, dims := range [][]int{{0}, {1}, {0, 1}} {
 		naive := NaiveGroupBy(r, dims, 0)
-		col := r.GroupBySeriesColumnar(dims, 0)
+		col := GroupBySeriesColumnar(r, dims, 0)
 		if got, want := col.NumGroups(), len(naive); got != want {
 			t.Fatalf("dims %v: %d groups, want %d", dims, got, want)
 		}
@@ -89,7 +160,7 @@ func TestColumnarGroupByMatchesNaive(t *testing.T) {
 
 func TestColumnarGroupByOrdering(t *testing.T) {
 	r := buildGroupByRel(t)
-	col := r.GroupBySeriesColumnar([]int{0, 1}, 0)
+	col := GroupBySeriesColumnar(r, []int{0, 1}, 0)
 	for g := 1; g < col.NumGroups(); g++ {
 		prev, cur := col.GroupIDs(g-1), col.GroupIDs(g)
 		less := false
@@ -118,9 +189,9 @@ func TestGroupByPlanSharedArena(t *testing.T) {
 	arena := make([]SumCount, total*T)
 	off := 0
 	for i, p := range plans {
-		gs := p.Fill(arena[off : off+p.NumGroups()*T])
+		gs := fill(p, arena[off:off+p.NumGroups()*T])
 		off += p.NumGroups() * T
-		want := r.GroupBySeriesColumnar(subsets[i], 0)
+		want := GroupBySeriesColumnar(r, subsets[i], 0)
 		if gs.NumGroups() != want.NumGroups() {
 			t.Fatalf("subset %v: %d groups via shared arena, want %d",
 				subsets[i], gs.NumGroups(), want.NumGroups())
@@ -140,7 +211,7 @@ func TestGroupByPlanSharedArena(t *testing.T) {
 func TestGroupByFallbackPath(t *testing.T) {
 	r := buildGroupByRel(t)
 	dims := []int{0, 1}
-	packed := r.GroupBySeriesColumnar(dims, 0)
+	packed := GroupBySeriesColumnar(r, dims, 0)
 
 	p := r.PlanGroupBy(dims, 0)
 	if !p.packed {
@@ -150,7 +221,7 @@ func TestGroupByFallbackPath(t *testing.T) {
 	if fp.packed {
 		t.Fatal("forced fallback plan is still packed")
 	}
-	got := fp.Fill(make([]SumCount, fp.NumGroups()*r.NumTimestamps()))
+	got := fill(fp, make([]SumCount, fp.NumGroups()*r.NumTimestamps()))
 
 	if got.NumGroups() != packed.NumGroups() {
 		t.Fatalf("fallback %d groups, packed %d", got.NumGroups(), packed.NumGroups())
@@ -170,7 +241,7 @@ func TestGroupByFallbackPath(t *testing.T) {
 func TestGroupByEmptyDims(t *testing.T) {
 	r := buildGroupByRel(t)
 	naive := NaiveGroupBy(r, nil, 0)
-	col := r.GroupBySeriesColumnar(nil, 0)
+	col := GroupBySeriesColumnar(r, nil, 0)
 	if len(naive) != 1 || col.NumGroups() != 1 {
 		t.Fatalf("grand total: naive %d groups, columnar %d, want 1 and 1",
 			len(naive), col.NumGroups())

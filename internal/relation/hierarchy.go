@@ -27,9 +27,6 @@ type Hierarchy struct {
 	parents [][]uint32 // parents[l][childID] = parent dict id; parents[0] is nil
 }
 
-// Name returns the hierarchy's name.
-func (h *Hierarchy) Name() string { return h.name }
-
 // NumLevels returns the number of levels (≥ 2).
 func (h *Hierarchy) NumLevels() int { return len(h.dims) }
 
@@ -123,16 +120,6 @@ func (r *Relation) attachHierarchy(h *Hierarchy) error {
 
 // Hierarchies returns the declared hierarchies (shared, do not mutate).
 func (r *Relation) Hierarchies() []*Hierarchy { return r.hiers }
-
-// HierarchyNamed returns the declared hierarchy with the given name.
-func (r *Relation) HierarchyNamed(name string) *Hierarchy {
-	for _, h := range r.hiers {
-		if h.name == name {
-			return h
-		}
-	}
-	return nil
-}
 
 // DeriveHierarchyFromPath splits a path-delimited dimension column
 // ("electronics/audio/iem") into len(levels) new level columns named by

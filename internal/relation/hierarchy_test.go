@@ -8,6 +8,16 @@ import (
 
 // taxRelation builds a small relation with explicit state/county columns
 // plus a path column mirroring them.
+// hierarchyNamed returns the declared hierarchy with the given name.
+func hierarchyNamed(r *Relation, name string) *Hierarchy {
+	for _, h := range r.hiers {
+		if h.name == name {
+			return h
+		}
+	}
+	return nil
+}
+
 func taxRelation(t *testing.T) *Relation {
 	t.Helper()
 	b := NewBuilder("tax", "day", []string{"state", "county", "path"}, []string{"sales"})
@@ -39,7 +49,7 @@ func TestDeclareHierarchy(t *testing.T) {
 	if err := r.DeclareHierarchy("geo", []string{"state", "county"}); err != nil {
 		t.Fatal(err)
 	}
-	h := r.HierarchyNamed("geo")
+	h := hierarchyNamed(r, "geo")
 	if h == nil || h.NumLevels() != 2 {
 		t.Fatalf("hierarchy not registered: %+v", h)
 	}
@@ -88,7 +98,7 @@ func TestDeriveHierarchyFromPath(t *testing.T) {
 	if got := r.DimValue(r.DimIndex("p_county"), 0); got != "Houston" {
 		t.Fatalf("p_county row 0 = %q, want Houston", got)
 	}
-	h := r.HierarchyNamed("geo")
+	h := hierarchyNamed(r, "geo")
 	if h == nil || h.NumLevels() != 2 {
 		t.Fatal("derived hierarchy not registered")
 	}
@@ -119,7 +129,7 @@ func TestAppendRowsGrowsHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := r.HierarchyNamed("geo")
+	h := hierarchyNamed(r, "geo")
 	county := r.Dim(h.LevelDim(1))
 	kid, ok := county.ID("Kings")
 	if !ok {
@@ -160,7 +170,7 @@ func TestAppendRowsAutoDerives(t *testing.T) {
 	if got := r.DimValue(r.DimIndex("p_county"), last); got != "Kings" {
 		t.Fatalf("auto-derived p_county = %q, want Kings", got)
 	}
-	edges, _ := r.RangeBinEdges("sales_bin")
+	edges, _ := rangeBinEdges(r, "sales_bin")
 	wantBin := BinLabel(edges, AssignBin(edges, 100))
 	if got := r.DimValue(r.DimIndex("sales_bin"), last); got != wantBin {
 		t.Fatalf("auto-derived sales_bin = %q, want %q", got, wantBin)
@@ -192,12 +202,12 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored dims = %d/%d, want %d/%d",
 			got.NumDims(), got.NumBaseDims(), r.NumDims(), r.NumBaseDims())
 	}
-	h := got.HierarchyNamed("geo")
+	h := hierarchyNamed(got, "geo")
 	if h == nil || h.NumLevels() != 2 {
 		t.Fatal("hierarchy lost across snapshot")
 	}
-	we, _ := r.RangeBinEdges("sales_bin")
-	ge, ok := got.RangeBinEdges("sales_bin")
+	we, _ := rangeBinEdges(r, "sales_bin")
+	ge, ok := rangeBinEdges(got, "sales_bin")
 	if !ok {
 		t.Fatal("range-bin edges lost across snapshot")
 	}

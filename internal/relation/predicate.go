@@ -49,16 +49,6 @@ func (c Conjunction) normalize() {
 // paper's notation).
 func (c Conjunction) Order() int { return len(c) }
 
-// Matches reports whether the given row of r satisfies every predicate.
-func (c Conjunction) Matches(r *Relation, row int) bool {
-	for _, p := range c {
-		if r.DimID(p.Dim, row) != p.Value {
-			return false
-		}
-	}
-	return true
-}
-
 // HasDim reports whether the conjunction constrains dimension dim.
 func (c Conjunction) HasDim(dim int) bool {
 	for _, p := range c {
@@ -78,20 +68,6 @@ func (c Conjunction) ValueFor(dim int) (id uint32, ok bool) {
 		}
 	}
 	return 0, false
-}
-
-// Extend returns a new canonical Conjunction with an extra predicate. It
-// panics if the dimension is already constrained; callers are expected to
-// check HasDim first.
-func (c Conjunction) Extend(p Pred) Conjunction {
-	if c.HasDim(p.Dim) {
-		panic(fmt.Sprintf("relation: dimension %d already constrained", p.Dim))
-	}
-	out := make(Conjunction, 0, len(c)+1)
-	out = append(out, c...)
-	out = append(out, p)
-	out.normalize()
-	return out
 }
 
 // Without returns a new Conjunction with the predicate over dimension dim
@@ -135,54 +111,4 @@ func (c Conjunction) String(r *Relation) string {
 		sb.WriteString(r.Dim(p.Dim).Value(p.Value))
 	}
 	return sb.String()
-}
-
-// Overlaps reports whether two conjunctions can select a common record in
-// some relation: they overlap unless they pin the same dimension to
-// different values. This is the non-overlap test of Definition 3.4
-// (σ_E1 R ∩ σ_E2 R = ∅ for every R exactly when they disagree on a shared
-// dimension).
-func (c Conjunction) Overlaps(other Conjunction) bool {
-	i, j := 0, 0
-	for i < len(c) && j < len(other) {
-		switch {
-		case c[i].Dim < other[j].Dim:
-			i++
-		case c[i].Dim > other[j].Dim:
-			j++
-		default:
-			if c[i].Value != other[j].Value {
-				return false
-			}
-			i++
-			j++
-		}
-	}
-	return true
-}
-
-// Filter returns a new Relation containing only the rows of r that satisfy
-// the conjunction (the OLAP slice/dice operation). Dimension dictionaries
-// are rebuilt so downstream candidate enumeration sees only surviving
-// values.
-func Filter(r *Relation, c Conjunction) (*Relation, error) {
-	b := NewBuilder(r.Name(), r.TimeName(), r.DimNames(), r.MeasureNames())
-	b.SetTimeOrder(r.TimeLabels())
-	dims := make([]string, r.NumDims())
-	meas := make([]float64, r.NumMeasures())
-	for row := 0; row < r.NumRows(); row++ {
-		if !c.Matches(r, row) {
-			continue
-		}
-		for d := range dims {
-			dims[d] = r.DimValue(d, row)
-		}
-		for m := range meas {
-			meas[m] = r.MeasureValue(m, row)
-		}
-		if err := b.Append(r.TimeLabel(r.TimeIndex(row)), dims, meas); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
 }

@@ -153,20 +153,6 @@ func (r *Relation) AddRangeBin(as, measure string, bins int) error {
 	return nil
 }
 
-// RangeBinEdges returns the frozen edges of the named range-bin column.
-func (r *Relation) RangeBinEdges(name string) ([]float64, bool) {
-	d := r.DimIndex(name)
-	if d < 0 {
-		return nil, false
-	}
-	for i := range r.derived {
-		if r.derived[i].dim == d && r.derived[i].kind == derivedRangeBin {
-			return append([]float64(nil), r.derived[i].edges...), true
-		}
-	}
-	return nil, false
-}
-
 // deriveRows recomputes the derived columns for base-width appended rows,
 // returning full-width dimension rows in relation column order. It never
 // mutates the caller's slices.

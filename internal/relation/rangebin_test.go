@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// rangeBinEdges returns the frozen edges of the named range-bin column.
+func rangeBinEdges(r *Relation, name string) ([]float64, bool) {
+	d := r.DimIndex(name)
+	if d < 0 {
+		return nil, false
+	}
+	for i := range r.derived {
+		if r.derived[i].dim == d && r.derived[i].kind == derivedRangeBin {
+			return append([]float64(nil), r.derived[i].edges...), true
+		}
+	}
+	return nil, false
+}
+
 // checkEdges asserts the EquiDepthEdges invariants for any input: edges
 // strictly increasing, all finite, and every finite value assignable to
 // exactly one bin in [0, len(edges)].
@@ -148,7 +162,7 @@ func TestAddRangeBin(t *testing.T) {
 	if d < 0 || d < r.NumBaseDims() {
 		t.Fatalf("sales_bin not a derived dimension (idx %d, base %d)", d, r.NumBaseDims())
 	}
-	edges, ok := r.RangeBinEdges("sales_bin")
+	edges, ok := rangeBinEdges(r, "sales_bin")
 	if !ok {
 		t.Fatal("no edges recorded")
 	}

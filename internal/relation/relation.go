@@ -43,14 +43,6 @@ func (c *DimColumn) ID(value string) (id uint32, ok bool) {
 	return id, ok
 }
 
-// Values returns a copy of the dictionary (all distinct values, in first-
-// appearance order).
-func (c *DimColumn) Values() []string {
-	out := make([]string, len(c.dict))
-	copy(out, c.dict)
-	return out
-}
-
 // newDimColumn returns an empty column with n rows of id capacity.
 func newDimColumn(name string, n int) *DimColumn {
 	return &DimColumn{name: name, ids: make([]uint32, 0, n), index: make(map[string]uint32)}
@@ -163,9 +155,6 @@ func (r *Relation) DimNames() []string {
 	}
 	return out
 }
-
-// DimID returns the dictionary id of dimension dim at the given row.
-func (r *Relation) DimID(dim, row int) uint32 { return r.dims[dim].ids[row] }
 
 // DimValue returns the string value of dimension dim at the given row.
 func (r *Relation) DimValue(dim, row int) string {

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -174,21 +173,6 @@ func TestAggregateSeries(t *testing.T) {
 	}
 }
 
-func TestAggregateSeriesWhere(t *testing.T) {
-	r := buildSales(t)
-	c, err := NewConjunction(r, map[string]string{"state": "NY"})
-	if err != nil {
-		t.Fatalf("NewConjunction: %v", err)
-	}
-	sc := r.AggregateSeriesWhere(0, c)
-	wantSum := []float64{15, 12, 6}
-	for i := range sc {
-		if sc[i].Sum != wantSum[i] {
-			t.Errorf("NY day %d sum = %g, want %g", i, sc[i].Sum, wantSum[i])
-		}
-	}
-}
-
 func TestAvgOfEmptySliceIsZero(t *testing.T) {
 	if got := Avg.Eval(0, 0); got != 0 {
 		t.Errorf("Avg.Eval(0,0) = %g, want 0", got)
@@ -229,12 +213,6 @@ func TestConjunctionBasics(t *testing.T) {
 	if got, want := c.String(r), "state=NY & category=beer"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
-	if !c.Matches(r, 0) { // row 0 is NY beer
-		t.Error("Matches(row 0) = false, want true")
-	}
-	if c.Matches(r, 1) { // row 1 is NY wine
-		t.Error("Matches(row 1) = true, want false")
-	}
 	if !c.HasDim(0) || !c.HasDim(1) {
 		t.Error("HasDim: want both dims constrained")
 	}
@@ -258,16 +236,7 @@ func TestConjunctionErrors(t *testing.T) {
 
 func TestConjunctionExtendWithout(t *testing.T) {
 	r := buildSales(t)
-	base, _ := NewConjunction(r, map[string]string{"state": "NY"})
-	id, _ := r.Dim(1).ID("wine")
-	ext := base.Extend(Pred{Dim: 1, Value: id})
-	if got, want := ext.String(r), "state=NY & category=wine"; got != want {
-		t.Errorf("Extend = %q, want %q", got, want)
-	}
-	// Extend must not mutate the receiver.
-	if got, want := base.String(r), "state=NY"; got != want {
-		t.Errorf("base mutated by Extend: %q", got)
-	}
+	ext, _ := NewConjunction(r, map[string]string{"state": "NY", "category": "wine"})
 	back := ext.Without(1)
 	if got, want := back.String(r), "state=NY"; got != want {
 		t.Errorf("Without = %q, want %q", got, want)
@@ -276,63 +245,9 @@ func TestConjunctionExtendWithout(t *testing.T) {
 	if got, want := same.Key(), ext.Key(); got != want {
 		t.Errorf("Without(unconstrained) = %q, want %q", got, want)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Extend on constrained dim: want panic")
-		}
-	}()
-	_ = base.Extend(Pred{Dim: 0, Value: 0})
-}
-
-func TestConjunctionOverlaps(t *testing.T) {
-	r := buildSales(t)
-	ny, _ := NewConjunction(r, map[string]string{"state": "NY"})
-	ca, _ := NewConjunction(r, map[string]string{"state": "CA"})
-	beer, _ := NewConjunction(r, map[string]string{"category": "beer"})
-	nyBeer, _ := NewConjunction(r, map[string]string{"state": "NY", "category": "beer"})
-
-	cases := []struct {
-		a, b Conjunction
-		want bool
-	}{
-		{ny, ca, false},        // same dim, different value
-		{ny, beer, true},       // different dims can intersect
-		{ny, nyBeer, true},     // ancestor-descendant overlap
-		{ca, nyBeer, false},    // disagree on state
-		{nil, ny, true},        // root overlaps everything
-		{nyBeer, nyBeer, true}, // self overlap
-	}
-	for i, tc := range cases {
-		if got := tc.a.Overlaps(tc.b); got != tc.want {
-			t.Errorf("case %d: Overlaps = %v, want %v", i, got, tc.want)
-		}
-		if got := tc.b.Overlaps(tc.a); got != tc.want {
-			t.Errorf("case %d (sym): Overlaps = %v, want %v", i, got, tc.want)
-		}
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := buildSales(t)
-	c, _ := NewConjunction(r, map[string]string{"category": "wine"})
-	f, err := Filter(r, c)
-	if err != nil {
-		t.Fatalf("Filter: %v", err)
-	}
-	if got, want := f.NumRows(), 4; got != want {
-		t.Errorf("filtered NumRows = %d, want %d", got, want)
-	}
-	// Filter must preserve the full time axis even if some timestamps lose
-	// all rows.
-	if got, want := f.NumTimestamps(), 3; got != want {
-		t.Errorf("filtered NumTimestamps = %d, want %d", got, want)
-	}
-	sc := f.AggregateSeries(0)
-	wantSum := []float64{5, 3, 10}
-	for i := range sc {
-		if sc[i].Sum != wantSum[i] {
-			t.Errorf("wine day %d sum = %g, want %g", i, sc[i].Sum, wantSum[i])
-		}
+	// Without must not mutate the receiver.
+	if got, want := ext.String(r), "state=NY & category=wine"; got != want {
+		t.Errorf("receiver mutated by Without: %q", got)
 	}
 }
 
@@ -375,42 +290,6 @@ func TestReadCSVErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := ReadCSV(strings.NewReader(tc.data), spec); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
-		}
-	}
-}
-
-// Property: filtering by a predicate then aggregating equals
-// AggregateSeriesWhere on the original relation.
-func TestFilterAggregateEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	states := []string{"NY", "CA", "TX"}
-	cats := []string{"a", "b"}
-	b := NewBuilder("rand", "d", []string{"s", "c"}, []string{"m"})
-	for i := 0; i < 300; i++ {
-		day := string(rune('0' + rng.Intn(5)))
-		if err := b.Append(day,
-			[]string{states[rng.Intn(3)], cats[rng.Intn(2)]},
-			[]float64{float64(rng.Intn(100))}); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	r, err := b.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	for _, s := range states {
-		c, err := NewConjunction(r, map[string]string{"s": s})
-		if err != nil {
-			t.Fatalf("NewConjunction(%s): %v", s, err)
-		}
-		direct := r.AggregateSeriesWhere(0, c)
-		filtered, err := Filter(r, c)
-		if err != nil {
-			t.Fatalf("Filter: %v", err)
-		}
-		via := filtered.AggregateSeries(0)
-		if !reflect.DeepEqual(direct, via) {
-			t.Errorf("state %s: filter+aggregate mismatch", s)
 		}
 	}
 }

@@ -69,12 +69,12 @@ func relationsEqual(t *testing.T, a, b *Relation) {
 		t.Fatalf("dim names differ: %v vs %v", a.DimNames(), b.DimNames())
 	}
 	for d := 0; d < a.NumDims(); d++ {
-		if !reflect.DeepEqual(a.Dim(d).Values(), b.Dim(d).Values()) {
+		if !reflect.DeepEqual(Dictionary(a.Dim(d)), Dictionary(b.Dim(d))) {
 			t.Fatalf("dim %d dictionaries differ (order matters: ids must survive the roundtrip)", d)
 		}
 		for row := 0; row < a.NumRows(); row++ {
-			if a.DimID(d, row) != b.DimID(d, row) {
-				t.Fatalf("dim %d row %d id %d vs %d", d, row, a.DimID(d, row), b.DimID(d, row))
+			if DimID(a, d, row) != DimID(b, d, row) {
+				t.Fatalf("dim %d row %d id %d vs %d", d, row, DimID(a, d, row), DimID(b, d, row))
 			}
 		}
 	}

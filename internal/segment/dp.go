@@ -16,9 +16,6 @@ type Scheme struct {
 	TotalVariance float64
 }
 
-// K returns the number of segments in the scheme.
-func (s Scheme) K() int { return len(s.Cuts) - 1 }
-
 // DPResult holds the optimal scheme for every K from 1 to KMax, which the
 // elbow method consumes: the DP for K = KMax yields all smaller K for
 // free (Section 6).

@@ -117,12 +117,6 @@ func (e *Explainer) ScoreTableBytes() int64 {
 	return e.table.Bytes()
 }
 
-// Universe returns the underlying candidate universe.
-func (e *Explainer) Universe() *explain.Universe { return e.u }
-
-// M returns the per-segment explanation count m.
-func (e *Explainer) M() int { return e.m }
-
 // TopM returns the top-m non-overlapping explanations for segment [c, t],
 // computing them on first use and serving the cache afterwards.
 func (e *Explainer) TopM(c, t int) *cascading.Result {

@@ -11,6 +11,14 @@ import (
 	"repro/internal/relation"
 )
 
+// varOf returns var(P) for the segment [a, b] (Eq. 7), in [0, 1].
+func varOf(vc *VarCalc, a, b int) float64 {
+	if b-a <= 0 {
+		return 0
+	}
+	return vc.Weighted(a, b) / float64(b-a)
+}
+
 // makeCatRelation builds a relation with one "category" dimension whose
 // per-category time series are given explicitly, so segmentation ground
 // truth is known by construction.
@@ -82,7 +90,7 @@ func TestUnitObjectVarianceIsZero(t *testing.T) {
 			t.Errorf("Weighted(%d,%d) = %g, want 0", x, x+1, got)
 		}
 	}
-	if got := vc.Var(3, 3); got != 0 {
+	if got := varOf(vc, 3, 3); got != 0 {
 		t.Errorf("Var of empty segment = %g, want 0", got)
 	}
 }
@@ -135,8 +143,8 @@ func TestDistOppositePhasesIsLarge(t *testing.T) {
 func TestVarianceLowWithinPhaseHighAcross(t *testing.T) {
 	u := twoPhase(t, 30, 15)
 	vc := NewVarCalc(newExplainer(t, u, ExplainerConfig{M: 1}), Tse)
-	within := vc.Var(0, 15)
-	across := vc.Var(0, 29)
+	within := varOf(vc, 0, 15)
+	across := varOf(vc, 0, 29)
 	if within > 0.15 {
 		t.Errorf("within-phase var = %g, want near 0", within)
 	}

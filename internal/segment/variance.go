@@ -114,26 +114,12 @@ func (vc *VarCalc) InvalidateFrom(p int) {
 	vc.pairPrefix = nil
 }
 
-// Explainer returns the underlying explainer.
-func (vc *VarCalc) Explainer() *Explainer { return vc.e }
-
 // Bytes is the heap footprint of what the calculator keeps across
 // explains: the Weighted cache, the γ memo, the AllPair prefix table and
 // the per-object caches.
 func (vc *VarCalc) Bytes() int64 {
 	return vc.cache.bytes(8) + vc.memo.bytes() +
 		8*int64(cap(vc.pairPrefix)) + 16*int64(cap(vc.objRes)) + 8*int64(len(vc.objPos))
-}
-
-// Kind returns the variance design in use.
-func (vc *VarCalc) Kind() VarianceKind { return vc.kind }
-
-// Var returns var(P) for the segment [a, b] (Eq. 7), in [0, 1].
-func (vc *VarCalc) Var(a, b int) float64 {
-	if b-a <= 0 {
-		return 0
-	}
-	return vc.Weighted(a, b) / float64(b-a)
 }
 
 // objectRange returns the objects covering [a, b] as the index range

@@ -240,38 +240,49 @@ func TestCatalogManifestAliases(t *testing.T) {
 }
 
 // TestDefaultSmoothSharesEngine: smooth=0 resolves to the dataset's
-// default window before any key is formed, so an explain at 0 and one at
-// the explicit default share one pooled engine and one cached answer,
-// while another window still gets its own engine.
+// default window before any key is formed, and every window ≤ 1 runs
+// unsmoothed, so each pair of windows below shares one pooled engine and
+// one cached answer, while another window still gets its own engine.
 func TestDefaultSmoothSharesEngine(t *testing.T) {
-	s := newCatalogServer(t, t.TempDir())
-	manifest := strings.Replace(catalogTestManifest, `"maxOrder": 2`, `"maxOrder": 2, "smoothWindow": 3`, 1)
-	if rec := upload(t, s, manifest, catalogTestCSV(12), false); rec.Code != 201 {
-		t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
-	}
-	byDefault := get(t, s, "/api/explain?dataset=mydata&k=2&smooth=0")
-	if byDefault.Code != 200 {
-		t.Fatalf("explain at smooth=0: %d: %s", byDefault.Code, byDefault.Body.String())
-	}
-	engines, hits := s.reg.engineEntries(), s.reg.met.cacheHits.Load()
-	explicit := get(t, s, "/api/explain?dataset=mydata&k=2&smooth=3")
-	if explicit.Code != 200 {
-		t.Fatalf("explain at smooth=3: %d: %s", explicit.Code, explicit.Body.String())
-	}
-	if !bytes.Equal(explicit.Body.Bytes(), byDefault.Body.Bytes()) {
-		t.Fatalf("smooth=3 body differs from smooth=0:\n%s\n%s", explicit.Body.String(), byDefault.Body.String())
-	}
-	if n := s.reg.engineEntries(); n != engines || n != 1 {
-		t.Fatalf("pooled engines = %d after the explicit default, want 1 (was %d)", n, engines)
-	}
-	if h := s.reg.met.cacheHits.Load(); h != hits+1 {
-		t.Fatalf("result-cache hits = %d, want %d: the explicit default missed the cache", h, hits+1)
-	}
-	if rec := get(t, s, "/api/explain?dataset=mydata&k=2&smooth=5"); rec.Code != 200 {
-		t.Fatalf("explain at smooth=5: %d", rec.Code)
-	}
-	if n := s.reg.engineEntries(); n != 2 {
-		t.Fatalf("pooled engines = %d after another window, want 2", n)
+	for _, tc := range []struct {
+		name          string
+		manifestExtra string // appended after maxOrder; empty keeps the default window 0
+		first, second int
+	}{
+		{"explicit default", `, "smoothWindow": 3`, 0, 3},
+		{"window one is unsmoothed", "", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newCatalogServer(t, t.TempDir())
+			manifest := strings.Replace(catalogTestManifest, `"maxOrder": 2`, `"maxOrder": 2`+tc.manifestExtra, 1)
+			if rec := upload(t, s, manifest, catalogTestCSV(12), false); rec.Code != 201 {
+				t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
+			}
+			first := get(t, s, fmt.Sprintf("/api/explain?dataset=mydata&k=2&smooth=%d", tc.first))
+			if first.Code != 200 {
+				t.Fatalf("explain at smooth=%d: %d: %s", tc.first, first.Code, first.Body.String())
+			}
+			engines, hits := s.reg.engineEntries(), s.reg.met.cacheHits.Load()
+			second := get(t, s, fmt.Sprintf("/api/explain?dataset=mydata&k=2&smooth=%d", tc.second))
+			if second.Code != 200 {
+				t.Fatalf("explain at smooth=%d: %d: %s", tc.second, second.Code, second.Body.String())
+			}
+			if !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("smooth=%d body differs from smooth=%d:\n%s\n%s", tc.second, tc.first, second.Body.String(), first.Body.String())
+			}
+			if n := s.reg.engineEntries(); n != engines || n != 1 {
+				t.Fatalf("pooled engines = %d after smooth=%d, want 1 (was %d)", n, tc.second, engines)
+			}
+			if h := s.reg.met.cacheHits.Load(); h != hits+1 {
+				t.Fatalf("result-cache hits = %d, want %d: smooth=%d missed the cache", h, hits+1, tc.second)
+			}
+			if rec := get(t, s, "/api/explain?dataset=mydata&k=2&smooth=5"); rec.Code != 200 {
+				t.Fatalf("explain at smooth=5: %d", rec.Code)
+			}
+			if n := s.reg.engineEntries(); n != 2 {
+				t.Fatalf("pooled engines = %d after another window, want 2", n)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -157,5 +158,46 @@ func TestDegradedDeadlineRescue(t *testing.T) {
 	}
 	if got := s.met.shedDeadline.Load(); got != 0 {
 		t.Errorf("deadline shed counter = %d, want 0 after a successful rescue", got)
+	}
+}
+
+// TestShedEntriesLeaveThePool: a request that never gets an engine — here
+// shed on the full normal lane and answered on the degraded one — must not
+// leave its engine entry behind. Epsilon is a free float, so each distinct
+// value would otherwise add a pooled entry that holds no engine and costs
+// nothing, which budget eviction never clears.
+func TestShedEntriesLeaveThePool(t *testing.T) {
+	s := NewWithConfig(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: -1})
+	sh := s.reg.shards[0]
+	releaseSlot, err := sh.admit(bg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	explainAt := func(eps float64) {
+		t.Helper()
+		rec := get(t, s, fmt.Sprintf("/api/explain?dataset=stream&mode=approx&epsilon=%g", eps))
+		if rec.Code != 200 {
+			t.Fatalf("epsilon %g: %d: %s", eps, rec.Code, rec.Body.String())
+		}
+	}
+	explainAt(0.3) // builds the degraded lane's engine
+	before := s.reg.engineEntries()
+	for i := 0; i < 200; i++ {
+		explainAt(0.01 + 0.001*float64(i))
+	}
+	if n := s.reg.engineEntries(); n != before {
+		t.Errorf("pooled entries = %d after 200 shed explains, want %d", n, before)
+	}
+	if got := s.met.degradedQueueFull.Load(); got < 200 {
+		t.Errorf("degraded on a full queue %d times, want every probe (≥ 200)", got)
+	}
+	releaseSlot()
+
+	// An entry whose engine was built stays pooled as before.
+	if rec := get(t, s, "/api/explain?dataset=stream"); rec.Code != 200 {
+		t.Fatalf("exact explain: %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := s.reg.engineEntries(); n != before+1 {
+		t.Errorf("pooled entries = %d after a cold build, want %d", n, before+1)
 	}
 }

@@ -89,7 +89,7 @@ func (s *Server) serveProgressive(w http.ResponseWriter, r *http.Request, p para
 	if p.degradable() {
 		grace = degradeAfterWait
 	}
-	eng, release, err := s.reg.engineExclusiveGrace(r.Context(), grace, p.engineKey(),
+	eng, release, err := s.reg.engineExclusive(r.Context(), grace, p.engineKey(),
 		s.reg.engineBuilder(p.dataset, p.options))
 	if err != nil {
 		// The same rescue explainDegradable applies, minus the retry of

@@ -675,19 +675,14 @@ func (g *registry) engineBuilder(name string, opts func(*datasets.Dataset) core.
 }
 
 // engineExclusive resolves a pooled engine for a request that drives it
-// directly (diff): entry lock, then worker slot, then build if cold. The
-// engine stays locked — and the slot held — until release is called. The
-// deferred cleanups make a panicking build release the lock, pin, and
-// slot instead of leaking them past net/http's recover.
-func (g *registry) engineExclusive(ctx context.Context, ekey string, build func(context.Context) (*core.Engine, error)) (*core.Engine, func(), error) {
-	return g.engineExclusiveGrace(ctx, 0, ekey, build)
-}
-
-// engineExclusiveGrace is engineExclusive with a deadline-near admission
-// grace: the lock and slot waits are bounded by grace (progressive
-// streams use it so an overloaded stream degrades instead of queueing),
-// while a cold build still runs under the full request context.
-func (g *registry) engineExclusiveGrace(ctx context.Context, grace time.Duration, ekey string, build func(context.Context) (*core.Engine, error)) (*core.Engine, func(), error) {
+// directly (diff, progressive streams): entry lock, then worker slot, then
+// build if cold. The engine stays locked — and the slot held — until
+// release is called. A positive grace bounds the lock and slot waits
+// (progressive streams use it so an overloaded stream degrades instead of
+// queueing), while a cold build still runs under the full request
+// context. The deferred cleanups make a panicking build release the lock,
+// pin, and slot instead of leaking them past net/http's recover.
+func (g *registry) engineExclusive(ctx context.Context, grace time.Duration, ekey string, build func(context.Context) (*core.Engine, error)) (*core.Engine, func(), error) {
 	sh := g.shardFor(ekey)
 	actx, acancel := graceCtx(ctx, grace)
 	defer acancel()
@@ -753,7 +748,7 @@ func (g *registry) engineShared(ctx context.Context, ekey string, build func(con
 	// Drop the lock but keep the pin: the engine cannot be evicted while
 	// the reader holds it, and writers (diff) still serialize on the lock.
 	<-ent.lock
-	return eng, func() { ent.pins.Add(-1) }, nil
+	return eng, func() { sh.unpin(ent) }, nil
 }
 
 // lockEntry returns the shard's entry for ekey with its lock held and a
@@ -772,14 +767,29 @@ func (g *registry) lockEntry(ctx context.Context, sh *shard, ekey string) (*engi
 	select {
 	case ent.lock <- struct{}{}:
 	case <-ctx.Done():
-		ent.pins.Add(-1)
+		sh.unpin(ent)
 		return nil, nil, ctx.Err()
 	}
 	unlock := func() {
 		<-ent.lock
-		ent.pins.Add(-1)
+		sh.unpin(ent)
 	}
 	return ent, unlock, nil
+}
+
+// unpin drops one pin on ent. The entry leaves the pool with its last pin
+// when it never got an engine (its requests were shed, ran out of their
+// grace, or failed the build): it is charged nothing, so budget eviction
+// would never clear it, and keys such as a free-form epsilon would grow
+// the pool without bound. Pins are taken under the shard mutex, so the
+// last one is dropped under it too; with no pin left nobody holds the
+// entry lock, so ent.eng is stable.
+func (sh *shard) unpin(ent *engineEntry) {
+	sh.mu.Lock()
+	if ent.pins.Add(-1) == 0 && ent.eng == nil && !ent.dead {
+		sh.engines.removeMatching(func(key string) bool { return key == ent.key })
+	}
+	sh.mu.Unlock()
 }
 
 // buildLocked materializes the entry's engine if it is still cold. It
@@ -1134,26 +1144,4 @@ func (g *registry) gauges() []shardGauges {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// resultEntries and engineEntries sum cache sizes across shards
-// (observed by tests).
-func (g *registry) resultEntries() int {
-	n := 0
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-		n += sh.results.len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-func (g *registry) engineEntries() int {
-	n := 0
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-		n += sh.engines.len()
-		sh.mu.Unlock()
-	}
-	return n
 }

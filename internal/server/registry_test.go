@@ -20,6 +20,27 @@ func testConfig() Config {
 
 func bg() context.Context { return context.Background() }
 
+// resultEntries and engineEntries sum cache sizes across shards.
+func (g *registry) resultEntries() int {
+	n := 0
+	for _, sh := range g.shards {
+		sh.mu.Lock()
+		n += sh.results.len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+func (g *registry) engineEntries() int {
+	n := 0
+	for _, sh := range g.shards {
+		sh.mu.Lock()
+		n += sh.engines.len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 func TestAdmitQueueFull(t *testing.T) {
 	s := NewWithConfig(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 1})
 	sh := s.reg.shards[0]
@@ -416,7 +437,7 @@ func TestEngineSharedAllowsConcurrentReaders(t *testing.T) {
 		t.Fatal("second shared reader blocked behind the first")
 	}
 	rel1()
-	_, relX, err := s.reg.engineExclusive(bg(), key, build)
+	_, relX, err := s.reg.engineExclusive(bg(), 0, key, build)
 	if err != nil {
 		t.Fatalf("exclusive after readers: %v", err)
 	}

@@ -148,20 +148,6 @@ type Server struct {
 	logger *slog.Logger
 }
 
-// New returns a ready-to-serve handler with default configuration.
-func New() *Server { return NewWithConfig(Config{}) }
-
-// NewWithConfig returns a ready-to-serve handler. It panics when the
-// catalog data directory cannot be opened; use Open where that failure
-// should be handled instead (the commands do).
-func NewWithConfig(cfg Config) *Server {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Open returns a ready-to-serve handler, surfacing catalog
 // initialization failures (unreadable data directory, invalid manifest,
 // alias collisions between stored datasets).
@@ -550,9 +536,13 @@ func (s *Server) paramsFromQuery(q url.Values) (params, error) {
 	}
 	// smooth=0 asks for the dataset's default window. Keys name the window
 	// the engine runs, so 0 and the explicit default share one pooled
-	// engine and one cached answer.
+	// engine and one cached answer; every window ≤ 1 runs unsmoothed, so
+	// they all key as 0.
 	if p.smooth == 0 {
 		p.smooth = s.reg.defaultSmooth(p.dataset)
+	}
+	if p.smooth <= 1 {
+		p.smooth = 0
 	}
 	return p, nil
 }
@@ -594,17 +584,14 @@ func (p params) engineKey() string {
 }
 
 // options assembles the engine options for the request (K excluded; it is
-// passed to ExplainWithK so one engine serves every K).
+// passed to ExplainWithKCtx so one engine serves every K).
 func (p params) options(d *datasets.Dataset) core.Options {
 	var opts core.Options
 	if !p.vanilla {
 		opts = core.DefaultOptions()
 	}
 	opts.MaxOrder = d.MaxOrder
-	opts.SmoothWindow = d.SmoothWindow
-	if p.smooth > 0 {
-		opts.SmoothWindow = p.smooth
-	}
+	opts.SmoothWindow = p.smooth
 	if p.approx {
 		eps := p.epsilon
 		if eps == 0 {

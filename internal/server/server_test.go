@@ -9,6 +9,19 @@ import (
 	"testing"
 )
 
+// New returns a ready-to-serve handler with default configuration.
+func New() *Server { return NewWithConfig(Config{}) }
+
+// NewWithConfig returns a ready-to-serve handler. It panics when the
+// catalog data directory cannot be opened.
+func NewWithConfig(cfg Config) *Server {
+	s, err := Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("GET", path, nil)

@@ -179,7 +179,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	eng, release, err := s.reg.engineExclusive(r.Context(), adhocKey(p.dataset), s.adhocBuilder(p.dataset))
+	eng, release, err := s.reg.engineExclusive(r.Context(), 0, adhocKey(p.dataset), s.adhocBuilder(p.dataset))
 	if err != nil {
 		writeError(w, err)
 		return

@@ -1,76 +1,9 @@
-// Package timeseries provides the aggregated-time-series type and the
-// signal utilities TSExplain needs: moving-average smoothing, Gaussian
-// noise injection at a target signal-to-noise ratio, classical seasonal
-// decomposition, and summary statistics.
+// Package timeseries provides the signal utilities TSExplain needs over
+// aggregated time series: moving-average smoothing, Gaussian noise
+// injection at a target signal-to-noise ratio, and summary statistics.
 package timeseries
 
-import (
-	"fmt"
-	"math"
-)
-
-// Series is an aggregated time series (Definition 3.6): values indexed by
-// time position, with optional human-readable labels per position.
-type Series struct {
-	// Values holds p_i.v for each point, in time order.
-	Values []float64
-	// Labels optionally holds p_i.t (e.g. dates). Either nil or the same
-	// length as Values.
-	Labels []string
-}
-
-// New returns a Series over the given values with no labels. The slice is
-// used directly, not copied.
-func New(values []float64) Series { return Series{Values: values} }
-
-// NewLabeled returns a Series with labels. It panics if the lengths
-// disagree, since that is always a programming error.
-func NewLabeled(values []float64, labels []string) Series {
-	if labels != nil && len(labels) != len(values) {
-		panic(fmt.Sprintf("timeseries: %d values but %d labels", len(values), len(labels)))
-	}
-	return Series{Values: values, Labels: labels}
-}
-
-// Len returns the number of points.
-func (s Series) Len() int { return len(s.Values) }
-
-// Label returns the label of point i, or its index rendered as text when
-// the series is unlabeled.
-func (s Series) Label(i int) string {
-	if s.Labels != nil {
-		return s.Labels[i]
-	}
-	return fmt.Sprintf("%d", i)
-}
-
-// Clone returns a deep copy of the series.
-func (s Series) Clone() Series {
-	out := Series{Values: append([]float64(nil), s.Values...)}
-	if s.Labels != nil {
-		out.Labels = append([]string(nil), s.Labels...)
-	}
-	return out
-}
-
-// Slice returns the sub-series over point positions [from, to] inclusive.
-// The result shares backing arrays with s.
-func (s Series) Slice(from, to int) Series {
-	out := Series{Values: s.Values[from : to+1]}
-	if s.Labels != nil {
-		out.Labels = s.Labels[from : to+1]
-	}
-	return out
-}
-
-// Delta returns the total change over the series, v[n-1] − v[0]. An empty
-// series has zero delta.
-func (s Series) Delta() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1] - s.Values[0]
-}
+import "math"
 
 // Mean returns the arithmetic mean, or 0 for an empty series.
 func Mean(v []float64) float64 {
@@ -138,31 +71,6 @@ func MovingAverage(v []float64, window int) []float64 {
 			hi = len(v) - 1
 		}
 		out[i] = (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
-	}
-	return out
-}
-
-// CumSum returns the running total of v, converting a "daily" series into
-// a "total" series (e.g. daily-confirmed-cases into total-confirmed-cases).
-func CumSum(v []float64) []float64 {
-	out := make([]float64, len(v))
-	var run float64
-	for i, x := range v {
-		run += x
-		out[i] = run
-	}
-	return out
-}
-
-// Diff returns the first difference of v (length len(v)-1), the inverse of
-// CumSum up to the initial value.
-func Diff(v []float64) []float64 {
-	if len(v) == 0 {
-		return nil
-	}
-	out := make([]float64, len(v)-1)
-	for i := 1; i < len(v); i++ {
-		out[i-1] = v[i] - v[i-1]
 	}
 	return out
 }

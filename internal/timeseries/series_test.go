@@ -10,44 +10,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSeriesBasics(t *testing.T) {
-	s := NewLabeled([]float64{1, 2, 4}, []string{"a", "b", "c"})
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if s.Label(1) != "b" {
-		t.Errorf("Label(1) = %q, want b", s.Label(1))
-	}
-	if got := New([]float64{5}).Label(0); got != "0" {
-		t.Errorf("unlabeled Label(0) = %q, want 0", got)
-	}
-	if got := s.Delta(); got != 3 {
-		t.Errorf("Delta = %g, want 3", got)
-	}
-	if got := (Series{}).Delta(); got != 0 {
-		t.Errorf("empty Delta = %g, want 0", got)
-	}
-	sub := s.Slice(1, 2)
-	if !reflect.DeepEqual(sub.Values, []float64{2, 4}) || sub.Label(0) != "b" {
-		t.Errorf("Slice = %+v", sub)
-	}
-	c := s.Clone()
-	c.Values[0] = 99
-	c.Labels[0] = "z"
-	if s.Values[0] != 1 || s.Labels[0] != "a" {
-		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestNewLabeledPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on length mismatch")
-		}
-	}()
-	NewLabeled([]float64{1}, []string{"a", "b"})
-}
-
 func TestMeanVariancePower(t *testing.T) {
 	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(v); got != 5 {
@@ -110,35 +72,6 @@ func TestMovingAveragePreservesConstant(t *testing.T) {
 	}
 }
 
-func TestCumSumDiffRoundTrip(t *testing.T) {
-	f := func(v []float64) bool {
-		for i, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				v[i] = float64(i)
-			}
-			// Keep magnitudes sane so float error stays bounded.
-			v[i] = math.Mod(v[i], 1e6)
-		}
-		c := CumSum(v)
-		d := Diff(c)
-		if len(v) == 0 {
-			return len(c) == 0 && d == nil
-		}
-		if len(d) != len(v)-1 {
-			return false
-		}
-		for i := range d {
-			if !almostEqual(d[i], v[i+1], 1e-6) {
-				return false
-			}
-		}
-		return almostEqual(c[0], v[0], 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestZNormalize(t *testing.T) {
 	v := []float64{1, 2, 3, 4, 5}
 	z := ZNormalize(v)
@@ -174,55 +107,5 @@ func TestSNRAndNoise(t *testing.T) {
 	}
 	if NoiseSigmaFor(0, 30) != 0 {
 		t.Error("zero-power signal should need zero noise")
-	}
-}
-
-func TestDecomposeAdditive(t *testing.T) {
-	period := 7
-	n := 9 * period
-	v := make([]float64, n)
-	for i := range v {
-		trend := 0.5 * float64(i)
-		seasonal := 10 * math.Sin(2*math.Pi*float64(i%period)/float64(period))
-		v[i] = trend + seasonal
-	}
-	d := DecomposeAdditive(v, period)
-	// Reconstruction must be exact by construction of the residual.
-	for i := range v {
-		rec := d.Trend[i] + d.Seasonal[i] + d.Residual[i]
-		if !almostEqual(rec, v[i], 1e-9) {
-			t.Fatalf("reconstruction[%d] = %g, want %g", i, rec, v[i])
-		}
-	}
-	// Seasonal component sums to ~0 over one period.
-	var sum float64
-	for p := 0; p < period; p++ {
-		sum += d.Seasonal[p]
-	}
-	if !almostEqual(sum, 0, 1e-9) {
-		t.Errorf("seasonal sum over period = %g, want 0", sum)
-	}
-	// In the interior the residual should be small relative to the signal.
-	for i := period; i < n-period; i++ {
-		if math.Abs(d.Residual[i]) > 3 {
-			t.Errorf("residual[%d] = %g, too large", i, d.Residual[i])
-		}
-	}
-}
-
-func TestDecomposeDegenerate(t *testing.T) {
-	v := []float64{1, 2, 3}
-	d := DecomposeAdditive(v, 0)
-	if !reflect.DeepEqual(d.Trend, v) {
-		t.Errorf("degenerate period: trend = %v, want input", d.Trend)
-	}
-	for i := range v {
-		if d.Seasonal[i] != 0 || d.Residual[i] != 0 {
-			t.Errorf("degenerate period: nonzero seasonal/residual at %d", i)
-		}
-	}
-	d = DecomposeAdditive(v, 10)
-	if !reflect.DeepEqual(d.Trend, v) {
-		t.Errorf("period > n: trend = %v, want input", d.Trend)
 	}
 }
