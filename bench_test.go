@@ -239,21 +239,6 @@ func BenchmarkPrecomputeLiquor(b *testing.B) {
 	}
 }
 
-// BenchmarkPrecomputeLiquorParallel is the same build fanned across 4
-// workers (identical output, see TestNewUniverseParallelDeterminism).
-func BenchmarkPrecomputeLiquorParallel(b *testing.B) {
-	d := datasets.Liquor()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := explain.NewUniverse(d.Rel, explain.Config{
-			Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy, MaxOrder: d.MaxOrder,
-			Parallelism: 4,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPrecomputeKernel measures the columnar integer-keyed group-by
 // kernel on the liquor rows: plan, then fill a right-sized arena, the two
 // passes NewUniverse runs per explain-by subset.

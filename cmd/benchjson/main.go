@@ -885,11 +885,14 @@ type HierarchyReport struct {
 
 // hierScenario returns the benchmark's taxonomy dataset: the generator
 // defaults, a three-level ~50k-leaf taxonomy (~52k candidates with the
-// roll-up levels).
+// roll-up levels) declared on the relation.
 func hierScenario() (*synth.TaxonomyDataset, synth.TaxonomyParams, error) {
 	p := synth.TaxonomyParams{Seed: 42}.WithDefaults()
 	d, err := synth.Taxonomy(p)
-	return d, p, err
+	if err != nil {
+		return nil, p, err
+	}
+	return d, p, d.Rel.DeclareHierarchy("cat>subcat>leaf", synth.TaxonomyLevels())
 }
 
 func hierQueryOpts() (core.Query, core.Options) {
@@ -897,7 +900,6 @@ func hierQueryOpts() (core.Query, core.Options) {
 	opts := core.DefaultOptions()
 	opts.MaxOrder = 2
 	opts.K = 8
-	opts.Hierarchies = [][]string{synth.TaxonomyLevels()}
 	return q, opts
 }
 

@@ -111,7 +111,6 @@ func goldenOptions(d *datasets.Dataset, vanilla bool) core.Options {
 	}
 	opts.MaxOrder = d.MaxOrder
 	opts.SmoothWindow = d.SmoothWindow
-	opts.Hierarchies = d.Hierarchies
 	return opts
 }
 
@@ -195,11 +194,10 @@ func TestGoldenHierarchyLeafDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(rel *relation.Relation, hiers [][]string) []byte {
+	run := func(rel *relation.Relation) []byte {
 		t.Helper()
 		opts := core.DefaultOptions()
 		opts.MaxOrder = 2
-		opts.Hierarchies = hiers
 		eng, err := core.NewEngine(rel, core.Query{
 			Measure: "sales", Agg: relation.Sum, ExplainBy: []string{"leaf"},
 		}, opts)
@@ -222,8 +220,8 @@ func TestGoldenHierarchyLeafDifferential(t *testing.T) {
 		return out
 	}
 
-	flatOut := run(flat.Rel, nil)
-	hierOut := run(hier.Rel, [][]string{synth.TaxonomyLevels()})
+	flatOut := run(flat.Rel)
+	hierOut := run(hier.Rel)
 	if string(flatOut) != string(hierOut) {
 		t.Errorf("leaf-level hierarchy output diverged from the flat path.\n--- flat\n%s\n--- hierarchy\n%s", flatOut, hierOut)
 	}

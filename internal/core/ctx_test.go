@@ -80,20 +80,15 @@ func TestExplainDeadlineMidFlight(t *testing.T) {
 }
 
 // TestCancelledBuildDeterministic checks NewEngineCtx with a deadline in
-// the past fails the same way regardless of parallelism (the enumeration
-// fan-out polls the hook on every worker).
+// the past fails with the deadline error, not a half-built engine.
 func TestCancelledBuildDeterministic(t *testing.T) {
 	d := datasets.VaxDeaths()
-	for _, par := range []int{0, 4} {
-		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		opts := DefaultOptions()
-		opts.Parallelism = par
-		_, err := NewEngineCtx(ctx, d.Rel, Query{
-			Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy,
-		}, opts)
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("parallelism %d: err = %v, want DeadlineExceeded", par, err)
-		}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := NewEngineCtx(ctx, d.Rel, Query{
+		Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy,
+	}, DefaultOptions())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want DeadlineExceeded", err)
 	}
 }

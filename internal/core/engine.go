@@ -40,11 +40,8 @@ type Options struct {
 	// Metric is the difference metric γ (default absolute-change).
 	Metric explain.Metric
 	// K fixes the segment count; 0 selects K automatically with the
-	// elbow method.
+	// elbow method, up to 20 segments.
 	K int
-	// KMax caps the K considered by the elbow method (default 20, the
-	// paper's user-perception limit).
-	KMax int
 	// VarianceKind selects the within-segment variance design (default
 	// tse, the paper's proposal).
 	VarianceKind segment.VarianceKind
@@ -64,29 +61,16 @@ type Options struct {
 	// SmoothWindow applies a moving average before explaining (Section
 	// 7.4); 0 disables.
 	SmoothWindow int
-	// Parallelism runs the engine's fan-out work with this many
-	// goroutines: candidate enumeration's per-subset group-bys in the
-	// precompute module, and pre-solving per-segment explanations before
-	// segmentation. 0 or 1 keeps the paper's single-threaded execution;
-	// results are identical either way, and with parallelism on, the
-	// Cascading timing reports summed CPU time.
-	Parallelism int
 	// Approx enables the anytime approximate explanation path for
 	// high-cardinality candidate universes: solves run against a pruned
 	// top-M candidate set with a reported per-segment attribution-error
 	// bound instead of scoring all ε candidates per segment.
 	Approx ApproxOptions
-	// Hierarchies declares taxonomies over the relation's dimension
-	// columns, each an ordered coarse→fine list of dimension names
-	// (["state", "county"]). Hierarchies already declared on the relation
-	// (by the catalog's manifest or a restored snapshot) are picked up
-	// automatically. When at least two levels of a hierarchy are in the
-	// explain-by set, candidate enumeration switches to grouped roll-up
-	// form, drill-down follows the taxonomy level by level, reported
-	// explanations carry their level Path, and the approximate path prunes
-	// whole subtrees by contribution caps where sound.
-	Hierarchies [][]string
 }
+
+// kMax caps the K the elbow method considers: the paper's
+// user-perception limit of 20 segments.
+const kMax = 20
 
 // DefaultOptions returns the paper's fully optimized configuration:
 // support filter at 0.001, guess-and-verify, and sketching all enabled.
@@ -105,9 +89,6 @@ func (o *Options) setDefaults() {
 	if o.MaxOrder <= 0 {
 		o.MaxOrder = 3
 	}
-	if o.KMax <= 0 {
-		o.KMax = 20
-	}
 	if o.GuessInit <= 0 {
 		o.GuessInit = 30
 	}
@@ -121,7 +102,9 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Timings is the latency breakdown of Figure 15.
+// Timings is the latency breakdown of Figure 15. The engine runs on the
+// caller's goroutine, so every field is wall-clock time and Total is the
+// end-to-end latency.
 type Timings struct {
 	// Precompute covers candidate enumeration, series construction,
 	// smoothing, and the support filter (module a).
@@ -299,14 +282,12 @@ func newEngine(ctx context.Context, rel *relation.Relation, q Query, opts Option
 	opts.setDefaults()
 	start := time.Now()
 	u, err := explain.NewUniverse(rel, explain.Config{
-		Measure:     q.Measure,
-		Agg:         q.Agg,
-		ExplainBy:   q.ExplainBy,
-		MaxOrder:    opts.MaxOrder,
-		Hierarchies: opts.Hierarchies,
-		Parallelism: opts.Parallelism,
-		Streaming:   cfg.streaming,
-		Cancel:      ctxCancelFunc(ctx),
+		Measure:   q.Measure,
+		Agg:       q.Agg,
+		ExplainBy: q.ExplainBy,
+		MaxOrder:  opts.MaxOrder,
+		Streaming: cfg.streaming,
+		Cancel:    ctxCancelFunc(ctx),
 	})
 	if err != nil {
 		return nil, err
@@ -608,7 +589,7 @@ func (e *Engine) explainExactK(ctx context.Context, positions []int, fixedK int)
 			return nil, err
 		}
 		positions = sketch
-		if at := e.opts.Sketch.CoarsenAt(); at > 0 && n > at && len(sketch) < n {
+		if n > segment.CoarseObjectsAbove && len(sketch) < n {
 			// Long series: phase 2 treats sketch intervals as objects.
 			vc.SetObjectPositions(sketch)
 			coarsened = true
@@ -619,26 +600,8 @@ func (e *Engine) explainExactK(ctx context.Context, positions []int, fixedK int)
 		// unit objects (this resets its caches).
 		vc.SetObjectPositions(nil)
 	}
-	if e.opts.Parallelism > 1 {
-		// Pre-solve every segment the DP will touch across cores. With a
-		// position restriction the work list is the position pairs plus
-		// unit objects; without one it is all O(n²) pairs.
-		pos := positions
-		if pos == nil {
-			pos = make([]int, n)
-			for i := range pos {
-				pos[i] = i
-			}
-		}
-		e.exp.PrewarmParallelCancel(segment.SegmentPairs(pos, n, true), e.opts.Parallelism, cancel)
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return nil, err
-			}
-		}
-	}
 	dpRes, err := segment.Optimize(vc, segment.Options{
-		KMax:      e.opts.KMax,
+		KMax:      kMax,
 		Positions: positions,
 		Cancel:    cancel,
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -82,6 +83,34 @@ func TestEngineRecoversGroundTruthAutoK(t *testing.T) {
 		if seg.Top[0].Effect != explain.Increase {
 			t.Errorf("segment %d effect = %v, want +", i, seg.Top[0].Effect)
 		}
+	}
+}
+
+// TestDefaultOptionsRecoverGroundTruth runs the fully optimized engine —
+// support filter, guess-and-verify and sketching — and checks it still
+// finds both ground-truth cuts.
+func TestDefaultOptionsRecoverGroundTruth(t *testing.T) {
+	rel := threePhase(t, 80, []int{25, 55})
+	eng, err := NewEngine(rel, Query{Measure: "v", Agg: relation.Sum}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := res.Cuts()
+	found25, found55 := false, false
+	for _, c := range cuts {
+		if c >= 23 && c <= 27 {
+			found25 = true
+		}
+		if c >= 53 && c <= 57 {
+			found55 = true
+		}
+	}
+	if !found25 || !found55 {
+		t.Errorf("optimized cuts %v miss ground truth {25, 55}", cuts)
 	}
 }
 
@@ -491,4 +520,74 @@ func sliceRelation(t testing.TB, r *relation.Relation, n int) *relation.Relation
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestEngineNeverWritesRelation checks that building engines and
+// explaining leave the relation byte-identical. The server shares one
+// published relation among every pooled engine of a dataset, so no engine
+// path may declare, derive or otherwise change anything on it. Both
+// relations carry a range bin; one declares its taxonomy, the other
+// leaves it flat, which is structure an engine could be tempted to
+// declare.
+func TestEngineNeverWritesRelation(t *testing.T) {
+	for _, declared := range []bool{true, false} {
+		d, err := synth.Taxonomy(synth.TaxonomyParams{
+			Cats: 6, SubcatsPerCat: 4, LeavesPerSubcat: 4, N: 64, Drivers: 6, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := d.Rel
+		if declared {
+			if err := rel.DeclareHierarchy("cat>subcat>leaf", synth.TaxonomyLevels()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rel.AddRangeBin("price_bin", "price", 4); err != nil {
+			t.Fatal(err)
+		}
+		encode := func() []byte {
+			var sw relation.SnapWriter
+			rel.EncodeSnapshot(&sw)
+			return sw.Bytes()
+		}
+		want := encode()
+
+		q := Query{Measure: "sales", Agg: relation.Sum, ExplainBy: []string{"cat", "subcat", "leaf", "price_bin"}}
+		opts := DefaultOptions()
+		opts.MaxOrder = 2
+		aopts := opts
+		aopts.Approx = ApproxOptions{Enabled: true, Epsilon: 0.05, MaxCandidates: 64}
+		explainOn := func(name string, eng *Engine, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("declared=%v %s: %v", declared, name, err)
+			}
+			if _, err := eng.Explain(); err != nil {
+				t.Fatalf("declared=%v %s: explain: %v", declared, name, err)
+			}
+			if got := encode(); !bytes.Equal(got, want) {
+				t.Fatalf("declared=%v: %s wrote to the relation: its %d-byte snapshot became %d bytes",
+					declared, name, len(want), len(got))
+			}
+		}
+
+		eng, err := NewEngine(rel, q, opts)
+		explainOn("NewEngine", eng, err)
+
+		eng, err = NewEngine(rel, q, aopts)
+		explainOn("approximate NewEngine", eng, err)
+		if walked := eng.approx != nil && eng.approx.sel != nil; walked != declared {
+			t.Fatalf("declared=%v: the approximate engine took the subtree walk: %v", declared, walked)
+		}
+
+		u, err := explain.NewUniverse(rel, explain.Config{
+			Measure: q.Measure, Agg: q.Agg, ExplainBy: q.ExplainBy, MaxOrder: opts.MaxOrder,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err = NewEngineFromUniverse(u, q, opts)
+		explainOn("NewUniverse + NewEngineFromUniverse", eng, err)
+	}
 }

@@ -97,7 +97,7 @@ func (inc *Incremental) ingest(oldN int) (*Result, error) {
 	// of the Section 8 restriction.
 	var positions []int
 	if info.ChangedFrom > 0 {
-		positions = appendPositions(oldN, newN, inc.lastCuts, inc.eng.opts.KMax, info.ChangedFrom)
+		positions = appendPositions(oldN, newN, inc.lastCuts, info.ChangedFrom)
 	}
 	res, err := inc.eng.explainWithPositions(positions)
 	if err != nil {
@@ -133,7 +133,7 @@ func (inc *Incremental) ingest(oldN int) (*Result, error) {
 // flip on a candidate born mid-stream) stays re-splittable at full
 // resolution. On a plain append it is at or after the previously last
 // point and leaves the tail unchanged.
-func appendPositions(oldN, newN int, lastCuts []int, kmax, changedFrom int) []int {
+func appendPositions(oldN, newN int, lastCuts []int, changedFrom int) []int {
 	posSet := map[int]bool{0: true, newN - 1: true}
 	for _, c := range lastCuts {
 		if c < newN-1 {
@@ -162,14 +162,14 @@ func appendPositions(oldN, newN int, lastCuts []int, kmax, changedFrom int) []in
 		}
 	}
 	// Pad with a coarse power-of-two grid until the restricted K-Variance
-	// curve reaches the same feasible depth (kmax segments) as the
+	// curve reaches the same feasible depth (kMax segments) as the
 	// unrestricted one — the elbow method normalizes K over the feasible
 	// range, so a shallower curve would skew K selection. The grid is a
 	// function of the grid stride alone, not of n, so its segments stay
 	// cached across updates.
-	if len(posSet) <= kmax {
+	if len(posSet) <= kMax {
 		g := 1
-		for (newN-1)/(2*g) >= kmax {
+		for (newN-1)/(2*g) >= kMax {
 			g *= 2
 		}
 		for p := g; p < newN-1; p += g {
@@ -253,7 +253,7 @@ func (inc *Incremental) Update(newRel *relation.Relation) (*Result, error) {
 	fresh.exp = exp
 	inc.eng = fresh
 
-	res, err := inc.eng.explainWithPositions(appendPositions(oldN, newN, inc.lastCuts, inc.eng.opts.KMax, invalidFrom))
+	res, err := inc.eng.explainWithPositions(appendPositions(oldN, newN, inc.lastCuts, invalidFrom))
 	if err != nil {
 		return nil, err
 	}

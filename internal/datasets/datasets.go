@@ -28,7 +28,8 @@ import (
 type Dataset struct {
 	// Name identifies the dataset in experiment output.
 	Name string
-	// Rel is the generated relation.
+	// Rel is the generated relation. A dataset with a taxonomy declares
+	// it on Rel (Relation.DeclareHierarchy).
 	Rel *relation.Relation
 	// Measure is the measure attribute the aggregated series uses.
 	Measure string
@@ -36,11 +37,6 @@ type Dataset struct {
 	Agg relation.AggFunc
 	// ExplainBy lists the explain-by attributes.
 	ExplainBy []string
-	// Hierarchies lists coarse-to-fine level chains among the explain-by
-	// attributes (core.Options.Hierarchies); nil for flat datasets. The
-	// generators also pre-declare them on Rel, so passing them through is
-	// idempotent.
-	Hierarchies [][]string
 	// MaxOrder is the explanation order threshold β̄ for this dataset.
 	MaxOrder int
 	// SmoothWindow is the moving-average window applied before

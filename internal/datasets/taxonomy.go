@@ -43,12 +43,11 @@ func buildTaxonomy() {
 func Taxonomy() *Dataset {
 	taxonomyOnce.Do(buildTaxonomy)
 	return &Dataset{
-		Name:        "taxonomy",
-		Rel:         taxonomyRel,
-		Measure:     "sales",
-		Agg:         relation.Sum,
-		ExplainBy:   []string{"cat", "subcat", "leaf", "price_bin"},
-		MaxOrder:    2,
-		Hierarchies: [][]string{synth.TaxonomyLevels()},
+		Name:      "taxonomy",
+		Rel:       taxonomyRel,
+		Measure:   "sales",
+		Agg:       relation.Sum,
+		ExplainBy: []string{"cat", "subcat", "leaf", "price_bin"},
+		MaxOrder:  2,
 	}
 }

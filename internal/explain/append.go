@@ -86,11 +86,10 @@ func (u *Universe) Append() (AppendInfo, error) {
 		u.growArenaCap(oldT, newT+newT/2)
 	}
 
-	// Pass 1: every plan discovers the delta's groups. Plans are
-	// independent, so this fans across the worker pool.
-	runIndexed(len(st.plans), st.workers, func(i int) {
-		st.plans[i].AppendRows(fromRow)
-	})
+	// Pass 1: every plan discovers the delta's groups.
+	for _, p := range st.plans {
+		p.AppendRows(fromRow)
+	}
 
 	// Register candidates first occurring in the delta at the tail,
 	// subset-major and rank-ascending within each subset — the same
@@ -146,17 +145,15 @@ func (u *Universe) Append() (AppendInfo, error) {
 		}
 	}
 
-	// Pass 2: accumulate only the delta into the arena. Plans own
-	// disjoint candidate ID sets, hence disjoint arena ranges, so the
-	// fill fans out safely.
+	// Pass 2: accumulate only the delta into the arena.
 	capA := u.arenaCap
-	runIndexed(len(st.plans), st.workers, func(si int) {
+	for si, p := range st.plans {
 		candOf := st.candOf[si]
-		st.plans[si].FillRows(fromRow, func(rank int) []relation.SumCount {
+		p.FillRows(fromRow, func(rank int) []relation.SumCount {
 			id := candOf[rank]
 			return u.raw[id*capA : id*capA+newT]
 		})
-	})
+	}
 
 	// Extend the raw overall series in row order (identical accumulation
 	// order to a from-scratch AggregateSeries over the full relation).
@@ -225,7 +222,7 @@ func (u *Universe) resmoothTail(p0, newT, oldCands int) int {
 	sm.total = sm.total[:newT]
 	smoothRange(sm.total, sm.totPrefix, newT, sm.window, lo0)
 
-	runIndexed(len(u.cands), u.stream.workers, func(id int) {
+	for id := range u.cands {
 		raw := u.raw[id*capA : id*capA+newT]
 		pref := sm.prefix[id*(capA+1) : id*(capA+1)+newT+1]
 		from := p0
@@ -235,7 +232,7 @@ func (u *Universe) resmoothTail(p0, newT, oldCands int) int {
 		}
 		fillPrefix(pref, raw, from)
 		smoothRange(sm.arena[id*capA:id*capA+newT], pref, newT, sm.window, lo0)
-	})
+	}
 	return lo0
 }
 

@@ -38,12 +38,16 @@ func TestApproxBytesTracksMeasuredHeapGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The hierarchy's parent maps are part of what the estimate must
+	// cover, so they are declared inside the measured window.
 	before := heapAlloc()
+	if err := rel.DeclareHierarchy("cat>subcat>leaf", synth.TaxonomyLevels()); err != nil {
+		t.Fatal(err)
+	}
 	u, err := NewUniverse(rel, Config{
 		Measure: "sales", Agg: relation.Sum,
-		ExplainBy:   []string{"cat", "subcat", "leaf", "price_bin"},
-		MaxOrder:    1,
-		Hierarchies: [][]string{synth.TaxonomyLevels()},
+		ExplainBy: []string{"cat", "subcat", "leaf", "price_bin"},
+		MaxOrder:  1,
 	})
 	if err != nil {
 		t.Fatal(err)

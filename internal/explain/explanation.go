@@ -104,7 +104,6 @@ type streamState struct {
 	plans    []*relation.GroupByPlan
 	candOf   [][]int // per subset: group rank -> candidate ID
 	ingested int     // relation rows already consumed
-	workers  int
 }
 
 // Config controls candidate enumeration.
@@ -118,20 +117,6 @@ type Config struct {
 	ExplainBy []string
 	// MaxOrder is the order threshold β̄ (default 3).
 	MaxOrder int
-	// Hierarchies lists taxonomies to declare on the relation before
-	// enumeration, each an ordered coarse→fine list of dimension names.
-	// Hierarchies already declared on the relation (by the catalog, a
-	// restored snapshot, or a previous engine) are picked up automatically
-	// and entries matching one of them are accepted as-is. When at least
-	// two levels of a hierarchy appear in ExplainBy, enumeration switches
-	// to grouped roll-up form: mixed-level conjunctions are excluded, and
-	// candidates gain taxonomy drill-down edges to their roll-ups.
-	Hierarchies [][]string
-	// Parallelism fans the per-subset group-bys of candidate enumeration
-	// across this many goroutines. 0 or 1 builds the universe serially;
-	// the resulting candidate IDs, series, and adjacency are identical
-	// either way.
-	Parallelism int
 	// Streaming retains the group-by plans and allocates the series arena
 	// with tail headroom so Append can extend the universe from newly
 	// arrived rows in O(delta). One-shot universes leave it false and pay
@@ -242,16 +227,13 @@ func NewUniverse(r *relation.Relation, cfg Config) (*Universe, error) {
 	// Enumerate every attribute subset of size 1..β̄ and group-by each
 	// with the columnar kernel: plan all subsets (pass 1), allocate ONE
 	// candidate-major arena backing every candidate's series, then fill
-	// the disjoint arena ranges (pass 2). Both passes fan across the
-	// worker pool; the kernel orders each subset's groups by id tuple, so
-	// candidate IDs are deterministic and identical at any parallelism.
-	workers := cfg.Parallelism
+	// the disjoint arena ranges (pass 2). The kernel orders each subset's
+	// groups by id tuple, so candidate IDs are deterministic. Taxonomies
+	// come only from the relation's own declarations, which this reads
+	// and never extends.
 	cancel := cfg.Cancel
 	if cancel == nil {
 		cancel = func() error { return nil }
-	}
-	if err := u.declareConfigHierarchies(cfg.Hierarchies); err != nil {
-		return nil, err
 	}
 	u.initDimPos()
 	u.resolveHierarchies()
@@ -260,14 +242,11 @@ func NewUniverse(r *relation.Relation, cfg Config) (*Universe, error) {
 		subsetList = u.filterHierSubsets(subsetList)
 	}
 	plans := make([]*relation.GroupByPlan, len(subsetList))
-	runIndexed(len(subsetList), workers, func(i int) {
-		if cancel() != nil {
-			return
+	for i, subset := range subsetList {
+		if err := cancel(); err != nil {
+			return nil, err
 		}
-		plans[i] = r.PlanGroupBy(subsetList[i], m)
-	})
-	if err := cancel(); err != nil {
-		return nil, err
+		plans[i] = r.PlanGroupBy(subset, m)
 	}
 	T := r.NumTimestamps()
 	offsets := make([]int, len(plans)+1)
@@ -289,14 +268,14 @@ func NewUniverse(r *relation.Relation, cfg Config) (*Universe, error) {
 		u.total = u.rawTotal
 	}
 	u.raw = make([]relation.SumCount, slotCap*u.arenaCap)
-	runIndexed(len(plans), workers, func(i int) {
-		if plans[i].NumGroups() == 0 || cancel() != nil {
-			return
+	for i, p := range plans {
+		if p.NumGroups() == 0 {
+			continue
 		}
-		plans[i].FillArena(u.raw[offsets[i]*u.arenaCap:(offsets[i]+plans[i].NumGroups())*u.arenaCap], u.arenaCap)
-	})
-	if err := cancel(); err != nil {
-		return nil, err
+		if err := cancel(); err != nil {
+			return nil, err
+		}
+		p.FillArena(u.raw[offsets[i]*u.arenaCap:(offsets[i]+p.NumGroups())*u.arenaCap], u.arenaCap)
 	}
 	u.cands = make([]*Candidate, 0, totalGroups)
 	for si, p := range plans {
@@ -327,7 +306,6 @@ func NewUniverse(r *relation.Relation, cfg Config) (*Universe, error) {
 			plans:    plans,
 			candOf:   candOf,
 			ingested: r.NumRows(),
-			workers:  workers,
 		}
 	}
 

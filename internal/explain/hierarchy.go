@@ -1,9 +1,7 @@
 package explain
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/relation"
 )
@@ -51,46 +49,6 @@ func (hk *hierKept) parentVal(k int, v uint32) uint32 {
 		v = hk.h.ParentID(l, v)
 	}
 	return v
-}
-
-// declareConfigHierarchies declares Config.Hierarchies on the relation so
-// they persist in snapshots and grow with appended rows like
-// catalog-declared ones. Entries whose level list matches an
-// already-declared hierarchy are accepted as-is.
-func (u *Universe) declareConfigHierarchies(hiers [][]string) error {
-	for _, levels := range hiers {
-		if len(levels) == 0 {
-			return fmt.Errorf("explain: empty hierarchy in Config.Hierarchies")
-		}
-		already := false
-		for _, h := range u.rel.Hierarchies() {
-			if hierarchyMatches(u.rel, h, levels) {
-				already = true
-				break
-			}
-		}
-		if already {
-			continue
-		}
-		if err := u.rel.DeclareHierarchy(strings.Join(levels, ">"), levels); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// hierarchyMatches reports whether h's level dimensions are exactly the
-// named levels, in order.
-func hierarchyMatches(r *relation.Relation, h *relation.Hierarchy, levels []string) bool {
-	if h.NumLevels() != len(levels) {
-		return false
-	}
-	for l, name := range levels {
-		if r.Dim(h.LevelDim(l)).Name() != name {
-			return false
-		}
-	}
-	return true
 }
 
 // resolveHierarchies projects the relation's declared hierarchies onto the

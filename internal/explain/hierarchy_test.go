@@ -40,10 +40,12 @@ func taxUniverse(t *testing.T, explainBy []string, maxOrder int) *Universe {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := rel.DeclareHierarchy("state>county", []string{"state", "county"}); err != nil {
+		t.Fatal(err)
+	}
 	u, err := NewUniverse(rel, Config{
 		Measure: "sales", Agg: relation.Sum,
 		ExplainBy: explainBy, MaxOrder: maxOrder,
-		Hierarchies: [][]string{{"state", "county"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,11 +282,13 @@ func TestSelectTopSoundness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Rel.DeclareHierarchy("cat>subcat>leaf", synth.TaxonomyLevels()); err != nil {
+		t.Fatal(err)
+	}
 	u, err := NewUniverse(d.Rel, Config{
 		Measure: "sales", Agg: relation.Sum,
-		ExplainBy:   []string{"cat", "subcat", "leaf"},
-		MaxOrder:    2,
-		Hierarchies: [][]string{synth.TaxonomyLevels()},
+		ExplainBy: []string{"cat", "subcat", "leaf"},
+		MaxOrder:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +392,10 @@ func TestNewSubtreeBoundsGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Measure: "m", Agg: relation.Sum, Hierarchies: [][]string{{"state", "county"}}}
+	if err := rel.DeclareHierarchy("state>county", []string{"state", "county"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Measure: "m", Agg: relation.Sum}
 	u, err := NewUniverse(rel, cfg)
 	if err != nil {
 		t.Fatal(err)

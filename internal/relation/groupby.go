@@ -18,7 +18,7 @@ import (
 //
 // Splitting the passes lets a caller (explain.NewUniverse) plan many
 // group-bys first, allocate ONE arena for all of them, and then fill the
-// disjoint arena ranges in parallel.
+// disjoint arena ranges.
 //
 // When the requested dimensions' dictionary widths cannot be packed into
 // 64 bits (astronomical cardinalities), the kernel transparently falls
@@ -146,8 +146,8 @@ func (r *Relation) planGroupBy(dims []int, m int, forceFallback bool) *GroupByPl
 	}
 
 	// Sort groups by id tuple so downstream candidate IDs are assigned
-	// deterministically regardless of row order or parallelism. An empty
-	// dims list degenerates to at most one grand-total group.
+	// deterministically regardless of row order. An empty dims list
+	// degenerates to at most one grand-total group.
 	n := p.n
 	order := make([]int32, n)
 	for i := range order {

@@ -31,9 +31,9 @@ type Explainer struct {
 	// restricted reports that ids came from SetRestriction rather than
 	// from allowed.
 	restricted bool
-	// table scores the selectable candidates for every solve — TopM's and
-	// the parallel prewarm workers' alike. nil means stale: it is built
-	// on the first solve after the selectable set or the universe changed.
+	// table scores the selectable candidates for every solve. nil means
+	// stale: it is built on the first solve after the selectable set or
+	// the universe changed.
 	table *explain.ScoreTable
 	// useGuess enables the guess-and-verify optimization.
 	useGuess  bool
@@ -124,23 +124,18 @@ func (e *Explainer) TopM(c, t int) *cascading.Result {
 		return r
 	}
 	start := time.Now() //tsexplain:nondet latency stat only; never feeds explanation output
-	res, rounds := e.solveOne(e.solver, e.ScoreTable(), c, t)
+	tab := e.ScoreTable()
+	var res cascading.Result
+	var rounds int
+	if e.useGuess {
+		res, rounds = e.solver.GuessVerify(c, t, e.guessInit, tab)
+	} else {
+		res = e.solver.Solve(c, t, tab)
+	}
 	e.caRounds += rounds
 	e.caTime += time.Since(start) //tsexplain:nondet latency stat only; never feeds explanation output
 	e.caSolves++
 	return e.cache.put(c, t, res)
-}
-
-// solveOne runs one segment solve on the given solver against the shared
-// score table — guess-and-verify or the plain DP. It is the single
-// dispatch point shared by TopM and the parallel prewarm workers, so a new
-// solver mode cannot reach one path and miss the other. rounds is 0
-// unless guess-and-verify ran.
-func (e *Explainer) solveOne(solver *cascading.Solver, tab *explain.ScoreTable, c, t int) (res cascading.Result, rounds int) {
-	if e.useGuess {
-		return solver.GuessVerify(c, t, e.guessInit, tab)
-	}
-	return solver.Solve(c, t, tab), 0
 }
 
 // Stats reports how many Cascading Analysts solves ran, the total time

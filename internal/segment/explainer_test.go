@@ -142,30 +142,3 @@ func TestExplainerAppendedRefreshesTable(t *testing.T) {
 		t.Fatal("rebuilt table differs from a fresh build")
 	}
 }
-
-// TestPrewarmParallelMatchesSequential checks workers sharing the one
-// score table cache exactly what sequential solves produce.
-func TestPrewarmParallelMatchesSequential(t *testing.T) {
-	u := twoPhase(t, 16, 7)
-	pos := []int{0, 3, 7, 11, 15}
-	segs := SegmentPairs(pos, 16, true)
-	for _, guess := range []bool{false, true} {
-		cfg := ExplainerConfig{M: 2, UseGuessVerify: guess, GuessInit: 1}
-		seq := newExplainer(t, u, cfg)
-		par := newExplainer(t, u, cfg)
-		if n := par.PrewarmParallelCancel(segs, 3, nil); n != len(segs) {
-			t.Fatalf("prewarm solved %d of %d segments", n, len(segs))
-		}
-		if n := par.PrewarmParallelCancel(segs, 3, nil); n != 0 {
-			t.Errorf("second prewarm re-solved %d cached segments", n)
-		}
-		for _, s := range segs {
-			if got, want := par.TopM(s[0], s[1]), seq.TopM(s[0], s[1]); !reflect.DeepEqual(got, want) {
-				t.Fatalf("guess=%v segment %v: parallel %+v, sequential %+v", guess, s, got, want)
-			}
-		}
-		if solves, _, _ := par.Stats(); solves != len(segs) {
-			t.Errorf("guess=%v: %d solves, want %d", guess, solves, len(segs))
-		}
-	}
-}

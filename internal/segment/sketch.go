@@ -10,21 +10,13 @@ type SketchConfig struct {
 	// Size is |S|, the sketch budget; 0 means the paper's default
 	// |S| = 3n/L.
 	Size int
-	// CoarseObjectsAbove switches phase 2 from unit objects to sketch-
-	// interval objects when the series is longer than this, keeping the
-	// phase-2 variance cost O(|S|³) instead of O(|S|²·n) on long series;
-	// 0 means the default threshold of 400 points. Set negative to never
-	// coarsen.
-	CoarseObjectsAbove int
 }
 
-// CoarsenAt resolves the coarse-object threshold.
-func (c SketchConfig) CoarsenAt() int {
-	if c.CoarseObjectsAbove == 0 {
-		return 400
-	}
-	return c.CoarseObjectsAbove
-}
+// CoarseObjectsAbove is the series length past which phase 2 of the
+// sketching optimization treats sketch intervals, not unit intervals, as
+// objects, keeping its variance cost O(|S|³) instead of O(|S|²·n) on long
+// series.
+const CoarseObjectsAbove = 400
 
 // resolve fills in the paper's defaults for a series of length n.
 func (c SketchConfig) resolve(n int) (L, size int) {

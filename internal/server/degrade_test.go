@@ -1,44 +1,33 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestOverloadDegradesNeverSheds is the PR's headline invariant, driven
-// end to end: with the only worker slot pinned by a long-running stream
-// and no queue, a burst of concurrent approx-eligible explains must ALL
-// come back 200 — degraded answers with an honest error bound — and not
-// one 429 or 503.
+// TestOverloadDegradesNeverSheds is the serving layer's headline
+// invariant, driven end to end: with the only worker slot pinned and no
+// queue, a burst of concurrent approx-eligible explains must ALL come
+// back 200 — degraded answers with an honest error bound — and not one
+// 429 or 503. Progressive streams in the burst cannot take the pinned
+// slot either, so each must answer with exactly one degraded round.
 func TestOverloadDegradesNeverSheds(t *testing.T) {
 	s := NewWithConfig(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: -1})
 	sh := s.reg.shards[0]
 
-	// Pin the worker slot for the whole burst.
-	streamCtx, cancelStream := context.WithCancel(bg())
-	var streamWG sync.WaitGroup
-	streamWG.Add(1)
-	go func() {
-		defer streamWG.Done()
-		req := httptest.NewRequest("GET", "/api/stream?dataset=stream&start=2&step=1", nil).WithContext(streamCtx)
-		s.ServeHTTP(httptest.NewRecorder(), req)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for sh.busy.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream request never occupied the worker slot")
-		}
-		time.Sleep(time.Millisecond)
+	// Pin the worker slot for the whole burst. A replay stream would hold
+	// it only until its replay ends, which on a cold server can come
+	// before the last request of the burst reaches admission.
+	releaseSlot, err := sh.admit(bg())
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		cancelStream()
-		streamWG.Wait()
-	}()
+	defer releaseSlot()
 
 	// Vary the datasets so the burst isn't collapsed by the result cache
 	// or singleflight: distinct keys genuinely contend for admission.
@@ -51,10 +40,15 @@ func TestOverloadDegradesNeverSheds(t *testing.T) {
 		"/api/explain?dataset=sp500&mode=approx",
 		"/api/explain?dataset=covid-daily",
 		"/api/explain?dataset=vax-deaths&smooth=7",
+		"/api/explain?dataset=covid&progressive=1",
+		"/api/explain?dataset=sp500&progressive=1&mode=approx",
 	}
 	const perPath = 2
 	type outcome struct {
+		path      string
 		code      int
+		lines     int
+		final     bool
 		degraded  bool
 		truncated bool
 		hasBound  bool
@@ -69,19 +63,26 @@ func TestOverloadDegradesNeverSheds(t *testing.T) {
 				defer wg.Done()
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+				// A synchronous answer is one JSON line; a progressive
+				// stream is one NDJSON line per round.
+				lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 				var body struct {
+					Final     bool `json:"final"`
 					Degraded  bool `json:"degraded"`
 					Truncated bool `json:"truncated"`
 					Approx    *struct {
-						MaxErrBound float64 `json:"maxErrBound"`
+						MaxErrBound *float64 `json:"maxErrBound"`
 					} `json:"approx"`
 				}
-				_ = json.Unmarshal(rec.Body.Bytes(), &body)
+				_ = json.Unmarshal([]byte(lines[0]), &body)
 				results <- outcome{
+					path:      path,
 					code:      rec.Code,
+					lines:     len(lines),
+					final:     body.Final,
 					degraded:  body.Degraded,
 					truncated: body.Truncated,
-					hasBound:  body.Approx != nil,
+					hasBound:  body.Approx != nil && body.Approx.MaxErrBound != nil,
 					body:      rec.Body.String(),
 				}
 			}(path)
@@ -100,9 +101,13 @@ func TestOverloadDegradesNeverSheds(t *testing.T) {
 					t.Errorf("degraded 200 without truncated flag + bound: %s", o.body)
 				}
 			}
+			if strings.Contains(o.path, "progressive=1") && (o.lines != 1 || !o.final || !o.degraded) {
+				t.Errorf("%s: %d rounds (final %v, degraded %v), want one final degraded round: %s",
+					o.path, o.lines, o.final, o.degraded, o.body)
+			}
 		default:
 			shed++
-			t.Errorf("approx-eligible request shed with %d under overload: %s", o.code, o.body)
+			t.Errorf("%s: approx-eligible request shed with %d under overload: %s", o.path, o.code, o.body)
 		}
 	}
 	if shed != 0 {

@@ -137,23 +137,8 @@ func (s *Server) serveProgressive(w http.ResponseWriter, r *http.Request, p para
 // final — computed on the degraded lane with the coarse epsilon. The
 // original overload error surfaces only if even the degraded lane fails.
 func (s *Server) serveProgressiveDegraded(w http.ResponseWriter, r *http.Request, p params, cause error) {
-	if errors.Is(cause, errQueueFull) {
-		s.met.degradedQueueFull.Add(1)
-	} else {
-		s.met.degradedDeadline.Add(1)
-	}
-	// Same detach-and-wait window as explainDegradable: the client is
-	// still on the connection, and the whole overload burst funnels
-	// through the small degraded pool.
-	window := s.cfg.RequestTimeout
-	if min := degradedComputeTimeout + time.Second; window < min {
-		window = min
-	}
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), window)
-	defer cancel()
 	start := time.Now()
-	dp := p.degraded()
-	res, err := s.reg.explain(dctx, dp)
+	res, err := s.explainDegraded(r, p, cause)
 	if err != nil {
 		writeError(w, cause)
 		return
@@ -164,6 +149,6 @@ func (s *Server) serveProgressiveDegraded(w http.ResponseWriter, r *http.Request
 		Round:           1,
 		Final:           true,
 		ElapsedMs:       ms(time.Since(start)),
-		explainResponse: buildExplainResponse(dp, res, true),
+		explainResponse: buildExplainResponse(p.degraded(), res, true),
 	})
 }

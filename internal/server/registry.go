@@ -277,13 +277,6 @@ func (g *registry) isCatalogDataset(name string) bool {
 	return ok
 }
 
-// loadDataset materializes a dataset: built-in generators first, then the
-// catalog. Catalog datasets prefer the warm-restart snapshot (skipping
-// the CSV parse and dictionary encoding) and fall back to the CSV when
-// the snapshot is missing, stale, in an older format, or fails
-// validation. A fallback schedules a background rewrite of the snapshot;
-// otherwise every restart would parse the CSV again until the dataset's
-// next upload or append.
 // defaultSmooth returns the named dataset's default smoothing window: a
 // catalog dataset's manifest window, read without loading its data, or a
 // built-in's. An unknown dataset reports 0; its load fails later.
@@ -303,6 +296,13 @@ func (g *registry) defaultSmooth(name string) int {
 	return d.SmoothWindow
 }
 
+// loadDataset materializes a dataset: built-in generators first, then the
+// catalog. Catalog datasets prefer the warm-restart snapshot (skipping
+// the CSV parse and dictionary encoding) and fall back to the CSV when
+// the snapshot is missing, stale, in an older format, or fails
+// validation. A fallback schedules a background rewrite of the snapshot;
+// otherwise every restart would parse the CSV again until the dataset's
+// next upload or append.
 func (g *registry) loadDataset(name string) (*datasets.Dataset, error) {
 	if isBuiltinDataset(name) {
 		return demoDataset(name)

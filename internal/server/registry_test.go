@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -444,19 +446,56 @@ func TestEngineSharedAllowsConcurrentReaders(t *testing.T) {
 	relX()
 }
 
-// TestFailedBuildLeavesPoolUsable cancels an engine build mid-flight and
-// checks the stub entry rebuilds cleanly on the next request.
+// TestFailedBuildLeavesPoolUsable fails an engine build — the catalog
+// dataset's CSV is missing on first load, and snapshots are off — and
+// checks the failure leaves the pool as it found it: no entry, no charge,
+// no compute. Once the CSV is in place, the same key builds and pools one
+// engine.
 func TestFailedBuildLeavesPoolUsable(t *testing.T) {
-	s := NewWithConfig(testConfig())
-	ctx, cancel := context.WithCancel(bg())
-	cancel() // already expired
-	p := params{dataset: "vax-deaths"}
-	if _, err := s.reg.explain(ctx, p); err == nil {
-		t.Fatal("explain with cancelled context succeeded, want error")
+	dir := t.TempDir()
+	dsDir := filepath.Join(dir, "mydata")
+	if err := os.Mkdir(dsDir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	res, err := s.reg.explain(bg(), p)
-	if err != nil || res == nil {
-		t.Fatalf("explain after aborted build: %v", err)
+	if err := os.WriteFile(filepath.Join(dsDir, "manifest.json"), []byte(catalogTestManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.DataDir = dir
+	cfg.DisableSnapshots = true
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	sh := s.reg.shards[0]
+	memUsed := func() int64 {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.memUsed
+	}
+	entries0, mem0, computes0 := s.reg.engineEntries(), memUsed(), s.reg.computes.Load()
+
+	p := params{dataset: "mydata"}
+	if _, err := s.reg.explain(bg(), p); err == nil {
+		t.Fatal("explain over a dataset whose CSV is missing succeeded, want error")
+	}
+	if n, m, c := s.reg.engineEntries(), memUsed(), s.reg.computes.Load(); n != entries0 || m != mem0 || c != computes0 {
+		t.Fatalf("after the failed build: %d entries, %d bytes charged, %d computes; want %d, %d, %d",
+			n, m, c, entries0, mem0, computes0)
+	}
+
+	if err := os.WriteFile(filepath.Join(dsDir, "data.csv"), []byte(catalogTestCSV(12)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.reg.explain(bg(), p); err != nil || res == nil {
+		t.Fatalf("explain after the failed build: %v", err)
+	}
+	if n := s.reg.engineEntries(); n != entries0+1 {
+		t.Errorf("%d entries after the working build, want %d", n, entries0+1)
+	}
+	if m := memUsed(); m <= mem0 {
+		t.Errorf("working build charged %d bytes in all, want more than %d", m, mem0)
 	}
 }
 

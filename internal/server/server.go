@@ -705,29 +705,35 @@ func (s *Server) explainDegradable(r *http.Request, p params) (res *core.Result,
 	if errors.Is(context.Cause(ctx), context.Canceled) {
 		return nil, false, err
 	}
-	if errors.Is(err, errQueueFull) {
-		s.met.degradedQueueFull.Add(1)
-	} else {
-		s.met.degradedDeadline.Add(1)
-	}
-	// Detach from the (possibly already expired) request deadline: the
-	// client is still waiting on the connection, and each degraded
-	// compute is separately capped at degradedComputeTimeout by the
-	// registry. The window here bounds compute PLUS the wait for a
-	// degraded-lane slot — a whole overload burst funnels through that
-	// small pool, so the tail needs the full patience the client already
-	// signed up for (never less than one compute's worth).
-	window := s.cfg.RequestTimeout
-	if min := degradedComputeTimeout + time.Second; window < min {
-		window = min
-	}
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), window)
-	defer cancel()
-	dres, derr := s.reg.explain(dctx, p.degraded())
+	dres, derr := s.explainDegraded(r, p, err)
 	if derr != nil {
 		return nil, false, err // surface the original overload error
 	}
 	return dres, true, nil
+}
+
+// explainDegraded computes an overloaded request's answer on the degraded
+// lane, counting the degradation under its cause. It detaches from the
+// (possibly already expired) request deadline: the client is still
+// waiting on the connection, and each degraded compute is separately
+// capped at degradedComputeTimeout by the registry. The window here
+// bounds compute PLUS the wait for a degraded-lane slot — a whole
+// overload burst funnels through that small pool, so the tail needs the
+// full patience the client already signed up for (never less than one
+// compute's worth).
+func (s *Server) explainDegraded(r *http.Request, p params, cause error) (*core.Result, error) {
+	if errors.Is(cause, errQueueFull) {
+		s.met.degradedQueueFull.Add(1)
+	} else {
+		s.met.degradedDeadline.Add(1)
+	}
+	window := s.cfg.RequestTimeout
+	if min := degradedComputeTimeout + time.Second; window < min {
+		window = min
+	}
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), window)
+	defer cancel()
+	return s.reg.explain(dctx, p.degraded())
 }
 
 // buildExplainResponse renders one explain result to the API shape.

@@ -69,8 +69,8 @@ func (p TaxonomyParams) WithDefaults() TaxonomyParams {
 }
 
 // TaxonomyLevels is the coarse-to-fine dimension list of the generated
-// taxonomy, the value Options.Hierarchies and manifest "hierarchies"
-// entries declare.
+// taxonomy: the levels callers pass to Relation.DeclareHierarchy and
+// manifest "hierarchies" entries declare.
 func TaxonomyLevels() []string { return []string{"cat", "subcat", "leaf"} }
 
 // TaxonomyDataset is one generated taxonomy scenario dataset.
