@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/relation"
 )
 
@@ -111,20 +110,13 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	// Publish the parsed relation straight into the registry — the next
 	// request serves it without re-reading the CSV that was just written —
 	// and refresh the warm-restart snapshot off the request path.
-	agg, err := manifest.AggFunc()
+	d, err := datasetFromManifest(*manifest)
 	if err != nil {
 		writeError(w, httpErrf(http.StatusBadRequest, "%v", err))
 		return
 	}
-	s.reg.replaceDataset(manifest.Name, &datasets.Dataset{
-		Name:         manifest.Name,
-		Rel:          rel,
-		Measure:      manifest.MeasureCol,
-		Agg:          agg,
-		ExplainBy:    manifest.ExplainBy,
-		MaxOrder:     manifest.EffectiveMaxOrder(),
-		SmoothWindow: manifest.SmoothWindow,
-	})
+	d.Rel = rel
+	s.reg.replaceDataset(manifest.Name, d)
 	s.met.catalogUploads.Add(1)
 	done := s.reg.refreshSnapshot(manifest.Name)
 	if r.URL.Query().Get("wait") == "1" {

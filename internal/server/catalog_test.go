@@ -286,6 +286,39 @@ func TestDefaultSmoothSharesEngine(t *testing.T) {
 	}
 }
 
+// TestCatalogApproxDefaults: a manifest's approx defaults apply to
+// approx explains from the upload on, through an append and a restart.
+func TestCatalogApproxDefaults(t *testing.T) {
+	dir := t.TempDir()
+	manifest := strings.Replace(catalogTestManifest, `"maxOrder": 2`,
+		`"maxOrder": 2, "approx": {"maxCandidates": 7, "epsilon": 0.2}`, 1)
+	check := func(stage string, s *Server) {
+		t.Helper()
+		rec := get(t, s, "/api/explain?dataset=mydata&mode=approx")
+		if rec.Code != 200 {
+			t.Fatalf("%s: approx explain: %d: %s", stage, rec.Code, rec.Body.String())
+		}
+		var out explainResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Approx == nil || out.Approx.MaxCandidates != 7 || out.Approx.Epsilon != 0.2 {
+			t.Errorf("%s: approx = %+v, want the manifest's maxCandidates 7 and epsilon 0.2", stage, out.Approx)
+		}
+	}
+	s := newCatalogServer(t, dir)
+	if rec := upload(t, s, manifest, catalogTestCSV(12), false); rec.Code != 201 {
+		t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
+	}
+	check("after upload", s)
+	delta := `{"time":"2021-03-13","dims":{"state":"NY","county":"kings"},"measure":140}` + "\n"
+	if rec := appendNDJSON(t, s, "mydata", delta, true); rec.Code != 200 {
+		t.Fatalf("append: %d: %s", rec.Code, rec.Body.String())
+	}
+	check("after append", s)
+	check("after restart", newCatalogServer(t, dir))
+}
+
 func TestCatalogAppendFlow(t *testing.T) {
 	s := newCatalogServer(t, t.TempDir())
 	if rec := upload(t, s, catalogTestManifest, catalogTestCSV(12), false); rec.Code != 201 {

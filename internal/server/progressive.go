@@ -85,12 +85,10 @@ func (s *Server) serveProgressive(w http.ResponseWriter, r *http.Request, p para
 	if !p.approx && !p.vanilla && r.URL.Query().Get("mode") == "" {
 		p.approx = true
 	}
-	grace := time.Duration(0)
 	if p.degradable() {
-		grace = degradeAfterWait
+		p.admitGrace = degradeAfterWait
 	}
-	eng, release, err := s.reg.engineExclusive(r.Context(), grace, p.engineKey(),
-		s.reg.engineBuilder(p.dataset, p.options))
+	ctx, eng, release, err := s.reg.acquire(r.Context(), p)
 	if err != nil {
 		// The same rescue explainDegradable applies, minus the retry of
 		// the full stream: one degraded round IS a valid (truncated)
@@ -108,7 +106,7 @@ func (s *Server) serveProgressive(w http.ResponseWriter, r *http.Request, p para
 	rw := newRoundWriter(w, r)
 	round := 0
 	lastFlush := time.Now()
-	_, err = eng.ExplainProgressive(r.Context(), p.k, func(res *core.Result, final bool) error {
+	_, err = eng.ExplainProgressive(ctx, p.k, func(res *core.Result, final bool) error {
 		round++
 		elapsed := time.Since(lastFlush)
 		s.met.observeProgressiveRound(elapsed.Seconds())

@@ -314,21 +314,9 @@ func (g *registry) loadDataset(name string) (*datasets.Dataset, error) {
 	if !ok {
 		return nil, httpErrf(http.StatusNotFound, "unknown dataset %q", name)
 	}
-	agg, err := m.AggFunc()
+	d, err := datasetFromManifest(m)
 	if err != nil {
 		return nil, err
-	}
-	d := &datasets.Dataset{
-		Name:         m.Name,
-		Measure:      m.MeasureCol,
-		Agg:          agg,
-		ExplainBy:    m.ExplainBy,
-		MaxOrder:     m.EffectiveMaxOrder(),
-		SmoothWindow: m.SmoothWindow,
-	}
-	if m.Approx != nil {
-		d.ApproxMaxCandidates = m.Approx.MaxCandidates
-		d.ApproxEpsilon = m.Approx.Epsilon
 	}
 	if g.snapshots && g.cat.HasSnapshot(name) {
 		start := time.Now()
@@ -350,6 +338,28 @@ func (g *registry) loadDataset(name string) (*datasets.Dataset, error) {
 		g.refreshSnapshot(name)
 	}
 	d.Rel = rel
+	return d, nil
+}
+
+// datasetFromManifest is the dataset a catalog manifest describes, less
+// its relation, which the caller loads or has just parsed.
+func datasetFromManifest(m catalog.Manifest) (*datasets.Dataset, error) {
+	agg, err := m.AggFunc()
+	if err != nil {
+		return nil, err
+	}
+	d := &datasets.Dataset{
+		Name:         m.Name,
+		Measure:      m.MeasureCol,
+		Agg:          agg,
+		ExplainBy:    m.ExplainBy,
+		MaxOrder:     m.EffectiveMaxOrder(),
+		SmoothWindow: m.SmoothWindow,
+	}
+	if m.Approx != nil {
+		d.ApproxMaxCandidates = m.Approx.MaxCandidates
+		d.ApproxEpsilon = m.Approx.Epsilon
+	}
 	return d, nil
 }
 
@@ -567,13 +577,22 @@ func (g *registry) explain(ctx context.Context, p params) (*core.Result, error) 
 	// leader that hangs up leaves the compute finishing (and caching) for
 	// the waiters; a genuine deadline still aborts it mid-engine. (The
 	// degraded lane's much shorter compute leash is applied inside
-	// compute, after admission — an overload burst queues for the small
+	// acquire, after admission — an overload burst queues for the small
 	// degraded pool, and that wait must not eat the compute budget.)
 	cctx, ccancel := context.WithTimeout(context.WithoutCancel(ctx), g.requestTimeout)
 	defer ccancel()
-	c.res, c.err = g.compute(cctx, sh, p)
-	if c.err != nil {
+	cctx, eng, release, err := g.acquire(cctx, p)
+	if err != nil {
+		c.err = err
+		return nil, err
+	}
+	defer release()
+	g.computes.Add(1)
+	if c.res, c.err = eng.ExplainWithKCtx(cctx, p.k); c.err != nil {
 		return nil, c.err
+	}
+	if c.res.Approx != nil {
+		g.met.observeApproxErr(c.res.Approx.MaxErrBound)
 	}
 	// The leader's own client may have expired while the shared compute
 	// ran; report that truthfully without poisoning the cached result.
@@ -583,27 +602,30 @@ func (g *registry) explain(ctx context.Context, p params) (*core.Result, error) 
 	return c.res, nil
 }
 
-// compute resolves the pooled engine for the request (building it on
-// first use, under the compute context) and runs one explain. Lock
-// ordering matters for admission fairness: the engine's serialization
-// lock is acquired BEFORE a worker slot, so a request queued behind a
-// busy engine waits without occupying a slot — one slow cold engine
-// cannot absorb a shard's whole worker pool while the CPU sits idle.
-// Every slot-taking path orders entry-lock → slot, so there is no cycle.
-// Degraded requests draw from the degraded lane's own pool (their engine
-// keys are disjoint from the normal lane's, so the ordering still holds).
-func (g *registry) compute(ctx context.Context, sh *shard, p params) (*core.Result, error) {
+// acquire takes p's pooled engine exclusively for a request that drives
+// it (explains, progressive streams, diffs): entry lock, then a worker
+// slot from p's lane, then a build if the engine is cold. The caller
+// drives the engine under the returned context; release re-prices the
+// entry and frees the slot and the lock. The lock comes BEFORE the slot,
+// so a request queued behind a busy engine waits without occupying a slot
+// — one slow cold engine cannot absorb a shard's whole worker pool while
+// the CPU sits idle. Every slot-taking path orders entry-lock → slot, so
+// there is no cycle; degraded requests draw from their lane's own pool,
+// under keys disjoint from the normal lane's. A panicking build releases
+// the lock, pin and slot instead of leaking them past net/http's recover.
+func (g *registry) acquire(ctx context.Context, p params) (context.Context, *core.Engine, func(), error) {
+	ekey := p.engineKey()
+	sh := g.shardFor(ekey)
 	// The deadline-near grace spans both admission waits (entry lock, then
 	// worker slot) but NOT the build or the explain: a degradable request
 	// that cannot even start within its grace degrades, while one that got
 	// its slot computes under the full deadline.
 	actx, acancel := graceCtx(ctx, p.admitGrace)
 	defer acancel()
-	ent, unlock, err := g.lockEntry(actx, sh, p.engineKey())
+	ent, unlock, err := g.lockEntry(actx, sh, ekey)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	defer unlock()
 	admit := sh.admit
 	switch {
 	case p.deg:
@@ -613,103 +635,63 @@ func (g *registry) compute(ctx context.Context, sh *shard, p params) (*core.Resu
 	}
 	releaseSlot, err := admit(actx)
 	if err != nil {
-		return nil, err
+		unlock()
+		return nil, nil, nil, err
 	}
-	defer releaseSlot()
+	// The short leash starts once a degraded slot is held: a degraded
+	// answer is build + one coarse refinement round, never more than
+	// degradedComputeTimeout of actual work — but however long a wait
+	// behind the rest of the overload burst.
+	cancel := func() {}
 	if p.deg {
-		// The short leash starts once a degraded slot is held: a degraded
-		// answer is build + one coarse refinement round, never more than
-		// degradedComputeTimeout of actual work — but however long a wait
-		// behind the rest of the overload burst.
-		dctx, dcancel := context.WithTimeout(ctx, degradedComputeTimeout)
-		defer dcancel()
-		ctx = dctx
+		ctx, cancel = context.WithTimeout(ctx, degradedComputeTimeout)
 	}
-	if err := g.buildLocked(ctx, sh, ent, g.engineBuilder(p.dataset, p.options)); err != nil {
-		return nil, err
-	}
-	g.computes.Add(1)
-	res, err := ent.eng.ExplainWithKCtx(ctx, p.k)
-	sh.reprice(ent)
-	if err == nil && res.Approx != nil {
-		g.met.observeApproxErr(res.Approx.MaxErrBound)
-	}
-	return res, err
-}
-
-// engineBuilder returns the build function for a pooled engine: resolve
-// the dataset, then construct the engine — from the warm-restart snapshot
-// universe when the dataset is catalog-backed and a valid snapshot
-// exists (skipping the group-by and planning passes), from the relation
-// otherwise. A snapshot that fails to load or to match the requested
-// options falls back to the full build; restores are never required for
-// correctness, only for speed.
-func (g *registry) engineBuilder(name string, opts func(*datasets.Dataset) core.Options) func(context.Context) (*core.Engine, error) {
-	return func(ctx context.Context) (*core.Engine, error) {
-		d, err := g.dataset(name)
-		if err != nil {
-			return nil, err
-		}
-		q := core.Query{Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy}
-		o := opts(d)
-		if g.snapshots && g.isCatalogDataset(name) && g.cat.HasSnapshot(name) {
-			if _, u, err := g.cat.LoadSnapshot(name); err == nil {
-				if eng, err := core.NewEngineFromUniverse(u, q, o); err == nil {
-					g.met.snapshotEngRestores.Add(1)
-					if eng.ArenaMapped() {
-						g.met.snapshotMmapRestores.Add(1)
-						log.Printf("catalog: engine for %q serves candidate arena from mapped snapshot (mapped=%d resident=%d bytes)",
-							name, eng.MappedBytes(), eng.ResidentBytes())
-					}
-					return eng, nil
-				}
-			}
-			// Fall through: the relation-level load already logged and
-			// counted the snapshot problem if there was one; an options
-			// mismatch here is normal (e.g. a custom smoothing window is
-			// fine — smoothing reruns on the restored arena — but a stale
-			// snapshot mid-append is not).
-		}
-		return core.NewEngineCtx(ctx, d.Rel, q, o)
-	}
-}
-
-// engineExclusive resolves a pooled engine for a request that drives it
-// directly (diff, progressive streams): entry lock, then worker slot, then
-// build if cold. The engine stays locked — and the slot held — until
-// release is called. A positive grace bounds the lock and slot waits
-// (progressive streams use it so an overloaded stream degrades instead of
-// queueing), while a cold build still runs under the full request
-// context. The deferred cleanups make a panicking build release the lock,
-// pin, and slot instead of leaking them past net/http's recover.
-func (g *registry) engineExclusive(ctx context.Context, grace time.Duration, ekey string, build func(context.Context) (*core.Engine, error)) (*core.Engine, func(), error) {
-	sh := g.shardFor(ekey)
-	actx, acancel := graceCtx(ctx, grace)
-	defer acancel()
-	ent, unlock, err := g.lockEntry(actx, sh, ekey)
-	if err != nil {
-		return nil, nil, err
-	}
+	free := func() { cancel(); releaseSlot(); unlock() }
 	acquired := false
 	defer func() {
 		if !acquired {
-			unlock()
+			free()
 		}
 	}()
-	releaseSlot, err := sh.admit(actx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() {
-		if !acquired {
-			releaseSlot()
-		}
-	}()
-	if err := g.buildLocked(ctx, sh, ent, build); err != nil {
-		return nil, nil, err
+	if err := g.buildLocked(ctx, sh, ent, p); err != nil {
+		return nil, nil, nil, err
 	}
 	acquired = true
-	return ent.eng, func() { sh.reprice(ent); releaseSlot(); unlock() }, nil
+	return ctx, ent.eng, func() { sh.reprice(ent); free() }, nil
+}
+
+// newEngine builds p's engine: from the warm-restart snapshot universe
+// when the dataset is catalog-backed and a valid snapshot exists
+// (skipping the group-by and planning passes), from the relation
+// otherwise. A snapshot that fails to load or to match the requested
+// options falls back to the full build; restores are never required for
+// correctness, only for speed.
+func (g *registry) newEngine(ctx context.Context, p params) (*core.Engine, error) {
+	d, err := g.dataset(p.dataset)
+	if err != nil {
+		return nil, err
+	}
+	q := core.Query{Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy}
+	o := p.options(d)
+	if g.snapshots && g.isCatalogDataset(p.dataset) && g.cat.HasSnapshot(p.dataset) {
+		if _, u, err := g.cat.LoadSnapshot(p.dataset); err == nil {
+			if eng, err := core.NewEngineFromUniverse(u, q, o); err == nil {
+				g.met.snapshotEngRestores.Add(1)
+				if eng.ArenaMapped() {
+					g.met.snapshotMmapRestores.Add(1)
+					log.Printf("catalog: engine for %q serves candidate arena from mapped snapshot (mapped=%d resident=%d bytes)",
+						p.dataset, eng.MappedBytes(), eng.ResidentBytes())
+				}
+				return eng, nil
+			}
+		}
+		// Fall through: the relation-level load already logged and
+		// counted the snapshot problem if there was one; an options
+		// mismatch here is normal (e.g. a custom smoothing window is
+		// fine — smoothing reruns on the restored arena — but a stale
+		// snapshot mid-append is not).
+	}
+	return core.NewEngineCtx(ctx, d.Rel, q, o)
 }
 
 // engineShared resolves a pooled engine for read-only use of its
@@ -718,7 +700,8 @@ func (g *registry) engineExclusive(ctx context.Context, grace time.Duration, eke
 // slot; once built, the lock and slot are released immediately and only
 // the pin is kept for the request's duration, so concurrent readers
 // share the engine without serializing on it or occupying slots.
-func (g *registry) engineShared(ctx context.Context, ekey string, build func(context.Context) (*core.Engine, error)) (*core.Engine, func(), error) {
+func (g *registry) engineShared(ctx context.Context, p params) (*core.Engine, func(), error) {
+	ekey := p.engineKey()
 	sh := g.shardFor(ekey)
 	ent, unlock, err := g.lockEntry(ctx, sh, ekey)
 	if err != nil {
@@ -737,7 +720,7 @@ func (g *registry) engineShared(ctx context.Context, ekey string, build func(con
 		}
 		err = func() error {
 			defer releaseSlot()
-			return g.buildLocked(ctx, sh, ent, build)
+			return g.buildLocked(ctx, sh, ent, p)
 		}()
 		if err != nil {
 			return nil, nil, err
@@ -795,11 +778,11 @@ func (sh *shard) unpin(ent *engineEntry) {
 // buildLocked materializes the entry's engine if it is still cold. It
 // must be called with the entry lock held and a worker slot admitted;
 // the freshly charged cost triggers an eviction pass on the shard.
-func (g *registry) buildLocked(ctx context.Context, sh *shard, ent *engineEntry, build func(context.Context) (*core.Engine, error)) error {
+func (g *registry) buildLocked(ctx context.Context, sh *shard, ent *engineEntry, p params) error {
 	if ent.eng != nil {
 		return nil
 	}
-	eng, err := build(ctx)
+	eng, err := g.newEngine(ctx, p)
 	if err != nil {
 		return err
 	}
@@ -927,16 +910,6 @@ func (g *registry) dropLive(name string) {
 	g.livemu.Unlock()
 }
 
-// catalogOptions is the engine configuration a catalog dataset's manifest
-// implies: the paper's optimized defaults with the manifest's order
-// threshold and smoothing window.
-func catalogOptions(d *datasets.Dataset) core.Options {
-	opts := core.DefaultOptions()
-	opts.MaxOrder = d.MaxOrder
-	opts.SmoothWindow = d.SmoothWindow
-	return opts
-}
-
 // appendDelta ingests one batch of delta rows into a catalog dataset:
 // the rows flow through the persistent incremental engine's O(delta)
 // append path (relation → universe → restricted re-segmentation — the
@@ -960,9 +933,10 @@ func (g *registry) appendDelta(ctx context.Context, name string, timeVals []stri
 		if err != nil {
 			return nil, err
 		}
+		// The options a default-smoothing explain of the dataset runs.
 		inc, _, err := core.NewIncrementalCtx(ctx, rel, core.Query{
 			Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy,
-		}, catalogOptions(d))
+		}, params{dataset: name, smooth: d.SmoothWindow}.options(d))
 		if err != nil {
 			return nil, err
 		}

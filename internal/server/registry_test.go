@@ -75,16 +75,27 @@ func TestAdmitQueueFull(t *testing.T) {
 	}
 	// Third request exceeds the queue limit and is shed immediately. (The
 	// shed counter is maintained centrally in Server.handle from the final
-	// response status, not here — admit only returns the sentinel.)
-	if _, err := sh.admit(bg()); !errors.Is(err, errQueueFull) {
-		t.Fatalf("over-limit admit: err = %v, want errQueueFull", err)
-	} else {
+	// response status, not here — admit only returns the sentinel.) Its
+	// Retry-After is the one queued request plus itself, times the average
+	// service time, over the one worker: rounded up to whole seconds and
+	// clamped to 30.
+	for _, tc := range []struct {
+		avg  time.Duration
+		want int
+	}{
+		{3 * time.Second, 6},
+		{2200 * time.Millisecond, 5},
+		{time.Minute, 30},
+	} {
+		sh.avgServiceNS.Store(0) // the next observation seeds the average
+		sh.observeService(tc.avg)
+		_, err := sh.admit(bg())
 		var oe *overloadedError
-		if !errors.As(err, &oe) {
-			t.Fatalf("over-limit admit: err = %T, want *overloadedError carrying Retry-After", err)
+		if !errors.Is(err, errQueueFull) || !errors.As(err, &oe) {
+			t.Fatalf("over-limit admit: err = %v, want errQueueFull as *overloadedError carrying Retry-After", err)
 		}
-		if oe.retryAfter < 1 || oe.retryAfter > 30 {
-			t.Fatalf("over-limit admit: retryAfter = %d, want within [1, 30]", oe.retryAfter)
+		if oe.retryAfter != tc.want {
+			t.Errorf("average service %v: retryAfter = %d, want %d", tc.avg, oe.retryAfter, tc.want)
 		}
 	}
 	rel1()
@@ -114,6 +125,47 @@ func TestAdmitDeadlineWhileQueued(t *testing.T) {
 // TestEvictionRespectsBudgetAndPins drives the registry over a tiny
 // memory budget and checks that cold engines are evicted while pinned
 // engines (in-flight requests) never are.
+// TestPatientExplainWaitsOutFullQueue holds a one-worker shard's only
+// slot with no queue allowed: a normal explain sheds at once, while a
+// patient one (the async-job lane) queues for the slot and returns its
+// result once the slot frees.
+func TestPatientExplainWaitsOutFullQueue(t *testing.T) {
+	s := NewWithConfig(testConfig())
+	sh := s.reg.shards[0]
+	releaseSlot, err := sh.admit(bg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := params{dataset: "covid", k: 3}
+	if _, err := s.reg.explain(bg(), p); !errors.Is(err, errQueueFull) {
+		t.Fatalf("explain on a full shard: err = %v, want errQueueFull", err)
+	}
+	p.patient = true
+	done := make(chan error, 1)
+	go func() {
+		res, err := s.reg.explain(bg(), p)
+		if err == nil && len(res.Segments) == 0 {
+			err = errors.New("result has no segments")
+		}
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for sh.waiting.Load() != 1 {
+		select {
+		case err := <-done:
+			t.Fatalf("patient explain returned before the slot freed: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("patient explain never queued for the slot")
+		}
+	}
+	releaseSlot()
+	if err := <-done; err != nil {
+		t.Fatalf("patient explain: %v", err)
+	}
+}
+
 func TestEvictionRespectsBudgetAndPins(t *testing.T) {
 	cfg := testConfig()
 	cfg.MemoryBudgetBytes = 1 // every engine build exceeds the budget
@@ -414,16 +466,15 @@ func TestLeaderDisconnectDoesNotFailWaiters(t *testing.T) {
 // still works once the readers are done.
 func TestEngineSharedAllowsConcurrentReaders(t *testing.T) {
 	s := NewWithConfig(testConfig())
-	key := adhocKey("vax-deaths")
-	build := s.adhocBuilder("vax-deaths")
-	e1, rel1, err := s.reg.engineShared(bg(), key, build)
+	p := params{dataset: "vax-deaths", adhoc: true}
+	e1, rel1, err := s.reg.engineShared(bg(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e2, rel2, err := s.reg.engineShared(bg(), key, build)
+		e2, rel2, err := s.reg.engineShared(bg(), p)
 		if err != nil {
 			t.Errorf("second shared acquisition: %v", err)
 			return
@@ -439,11 +490,35 @@ func TestEngineSharedAllowsConcurrentReaders(t *testing.T) {
 		t.Fatal("second shared reader blocked behind the first")
 	}
 	rel1()
-	_, relX, err := s.reg.engineExclusive(bg(), 0, key, build)
+	_, _, relX, err := s.reg.acquire(bg(), p)
 	if err != nil {
 		t.Fatalf("exclusive after readers: %v", err)
 	}
 	relX()
+}
+
+// TestEngineKeys pins every pooled engine key to its established string.
+// A key picks the request's shard (FNV-1a of the key) and the entry lock
+// it waits on, so a changed key moves traffic between shards and locks
+// even where the engine it names is the same.
+func TestEngineKeys(t *testing.T) {
+	for _, tc := range []struct {
+		p    params
+		want string
+	}{
+		{params{dataset: "liquor", smooth: 5}, "liquor|5|false|exact"},
+		{params{dataset: "liquor", smooth: 5, k: 4, patient: true, admitGrace: time.Second}, "liquor|5|false|exact"},
+		{params{dataset: "covid", approx: true}, "covid|0|false|approx:0"},
+		{params{dataset: "covid", approx: true, epsilon: 0.1}, "covid|0|false|approx:0.1"},
+		{params{dataset: "covid", smooth: 3, approx: true, epsilon: 0.1}.degraded(), "covid|3|false|deg"},
+		{params{dataset: "sp500", vanilla: true}, "sp500|0|true|exact"},
+		{params{dataset: "mydata", smooth: 7, vanilla: true, approx: true, epsilon: 0.02}, "mydata|7|true|approx:0.02"},
+		{params{dataset: "liquor", adhoc: true}, "liquor|adhoc"},
+	} {
+		if got := tc.p.engineKey(); got != tc.want {
+			t.Errorf("engineKey(%+v) = %q, want %q", tc.p, got, tc.want)
+		}
+	}
 }
 
 // TestFailedBuildLeavesPoolUsable fails an engine build — the catalog

@@ -457,6 +457,13 @@ type params struct {
 	// instead of shedding on queue depth; it does not affect cache keys
 	// (the computed result is identical to the synchronous one).
 	patient bool
+	// adhoc selects the dataset's ad-hoc engine: optimized, exact and
+	// unsmoothed, its universe the in-memory data cube of Section 5.2.
+	// Slices read it shared (its post-build universe is immutable); diffs
+	// solve on it exclusively (solves mutate its caches). Never parsed
+	// from a query; those two handlers set it on a params whose other
+	// fields but dataset are zero.
+	adhoc bool
 	// admitGrace, when positive, bounds how long this request waits for
 	// admission (engine lock, worker slot, or a deduped in-flight
 	// compute) before the registry reports the wait as overload. Never
@@ -580,6 +587,11 @@ func (p params) key() string {
 // engineKey identifies the pooled engine: everything but K, which only
 // steers segmentation and is overridden per explain call.
 func (p params) engineKey() string {
+	if p.adhoc {
+		// Apart from an explain key with equal options, so slices and diffs
+		// keep their shard and never wait on explains' engine lock.
+		return p.dataset + "|adhoc"
+	}
 	return fmt.Sprintf("%s|%d|%v|%s", p.dataset, p.smooth, p.vanilla, p.modeKey())
 }
 

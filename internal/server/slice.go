@@ -1,33 +1,11 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/relation"
 )
-
-// The slice and diff endpoints share one pooled "ad-hoc" engine per
-// dataset: a default-options, unsmoothed engine whose candidate universe
-// is the in-memory data cube of Section 5.2 (slices read the universe,
-// diffs run TopExplanations on the engine). Pooling it in the registry —
-// rather than a side map — makes it budget-counted, pinned while in use,
-// evictable when cold, and cancellable while building. Slices take it
-// shared (the post-build universe is immutable, so readers neither
-// serialize nor occupy worker slots once it is warm); diffs take it
-// exclusive (solves mutate the engine's caches).
-func adhocKey(dataset string) string { return dataset + "|adhoc" }
-
-func (s *Server) adhocBuilder(dataset string) func(context.Context) (*core.Engine, error) {
-	return s.reg.engineBuilder(dataset, func(d *datasets.Dataset) core.Options {
-		opts := core.DefaultOptions()
-		opts.MaxOrder = d.MaxOrder
-		return opts
-	})
-}
 
 // parseConjunction decodes "attr=value&attr2=value2" against a relation.
 // An empty expression denotes the root (whole relation). Values may
@@ -106,7 +84,7 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	eng, release, err := s.reg.engineShared(r.Context(), adhocKey(name), s.adhocBuilder(name))
+	eng, release, err := s.reg.engineShared(r.Context(), params{dataset: name, adhoc: true})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -169,9 +147,10 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleDiff is the engine-free comparison endpoint:
-// /api/diff?dataset=...&from=<label>&to=<label> runs the two-relations
-// diff building block between two timestamps on the shared ad-hoc engine.
+// handleDiff serves /api/diff?dataset=...&from=<label>&to=<label>: the
+// two-relations diff building block between two timestamps, run on the
+// ad-hoc engine's unsmoothed series. k, smooth and mode are validated, not
+// used.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	p, err := s.parseParams(r)
@@ -179,7 +158,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	eng, release, err := s.reg.engineExclusive(r.Context(), 0, adhocKey(p.dataset), s.adhocBuilder(p.dataset))
+	_, eng, release, err := s.reg.acquire(r.Context(), params{dataset: p.dataset, adhoc: true})
 	if err != nil {
 		writeError(w, err)
 		return

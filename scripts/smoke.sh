@@ -4,7 +4,8 @@
 # output; then exercises the bring-your-own-data path end to end: start
 # the server with a temp -data-dir, upload a CSV dataset, explain it,
 # append delta rows, restart the server, and assert the second start
-# restores the dataset from its warm-restart snapshot (log marker). CI
+# restores the dataset from its warm-restart snapshot (log marker); then
+# check a slice, a diff, progressive streams and an async job on it. CI
 # runs this on every PR so example drift — like the pre-PR-1 missing
 # go.mod — is caught automatically instead of by the next reader.
 #
@@ -151,6 +152,22 @@ grep -q 'restored from snapshot' "$tmp/server2.log" || {
 }
 curl -s "$base/metrics" | grep -q 'tsexplain_snapshot_restores_total{kind="engine"} 1' || {
 	echo "smoke: /metrics missing the engine snapshot restore" >&2
+	exit 1
+}
+
+# ---- Slice and diff, both on the dataset's ad-hoc engine. --------------------
+
+echo "smoke: slice and diff"
+curl -sf "$base/api/slice?dataset=smoke-sales&expr=state%3DNY" >"$tmp/slice.json"
+grep -q '"series":\[10,12,30,55,80,120\]' "$tmp/slice.json" || {
+	echo "smoke: NY slice is not its six points:" >&2
+	cat "$tmp/slice.json" >&2
+	exit 1
+}
+curl -sf "$base/api/diff?dataset=smoke-sales&from=2024-01-01&to=2024-01-06" >"$tmp/diff.json"
+grep -q '"top":\[{"predicates":"state=NY"' "$tmp/diff.json" || {
+	echo "smoke: diff does not name state=NY first:" >&2
+	cat "$tmp/diff.json" >&2
 	exit 1
 }
 
