@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/datasets"
@@ -44,7 +45,7 @@ import (
 )
 
 func main() {
-	name := flag.String("dataset", "covid", "covid, covid-daily, sp500, liquor, vax-deaths")
+	name := flag.String("dataset", "covid", strings.Join(datasets.BuiltinNames(), ", "))
 	scenario := flag.String("scenario", "", "synthetic scenario instead of -dataset: highcard, taxonomy, synth")
 	users := flag.Int("users", 0, "highcard: user cardinality (0: generator default)")
 	regions := flag.Int("regions", 0, "highcard: region cardinality (0: generator default)")
@@ -67,11 +68,12 @@ func main() {
 	)
 	switch *scenario {
 	case "":
-		d := builtin(*name)
-		if d == nil {
+		_, gen, ok := datasets.Builtin(*name)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q\n", *name)
 			os.Exit(2)
 		}
+		d := gen()
 		rel = d.Rel
 		summary = fmt.Sprintf("dataset=%s rows=%d n=%d measure=%q explain-by=%v",
 			d.Name, d.Rel.NumRows(), d.Rel.NumTimestamps(), d.Measure, d.ExplainBy)
@@ -115,23 +117,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, summary)
-}
-
-// builtin returns the named simulated dataset, or nil for an unknown name.
-func builtin(name string) *datasets.Dataset {
-	switch name {
-	case "covid", "covid-total":
-		return datasets.CovidTotal()
-	case "covid-daily":
-		return datasets.CovidDaily()
-	case "sp500":
-		return datasets.SP500()
-	case "liquor":
-		return datasets.Liquor()
-	case "vax-deaths":
-		return datasets.VaxDeaths()
-	}
-	return nil
 }
 
 // emit writes rel as CSV on stdout and, when both a manifest and a path

@@ -24,13 +24,14 @@ import (
 	tsexplain "repro"
 	"repro/internal/catalog"
 	"repro/internal/datasets"
+	"repro/internal/relation"
 	rendersvg "repro/internal/render"
 )
 
 func main() {
 	var (
 		csvPath      = flag.String("csv", "", "CSV file to explain (header row required)")
-		demo         = flag.String("demo", "", "built-in dataset: covid, covid-daily, sp500, liquor, vax-deaths, stream")
+		demo         = flag.String("demo", "", "built-in dataset: "+strings.Join(datasets.BuiltinNames(), ", "))
 		manifestPath = flag.String("manifest", "", "catalog manifest JSON describing the CSV (replaces -time/-dims/-measure/-agg/-explain-by)")
 		timeCol      = flag.String("time", "", "time column name")
 		dims         = flag.String("dims", "", "comma-separated dimension columns")
@@ -72,10 +73,11 @@ func run(csvPath, demo, manifestPath, timeCol, dims, measure, aggName, explainBy
 
 	switch {
 	case demo != "":
-		d, derr := demoDataset(demo)
-		if derr != nil {
-			return derr
+		_, gen, ok := datasets.Builtin(demo)
+		if !ok {
+			return fmt.Errorf("unknown demo dataset %q", demo)
 		}
+		d := gen()
 		rel = d.Rel
 		query = tsexplain.Query{Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy}
 		opts.MaxOrder = d.MaxOrder
@@ -113,7 +115,7 @@ func run(csvPath, demo, manifestPath, timeCol, dims, measure, aggName, explainBy
 		if timeCol == "" || dims == "" || measure == "" {
 			return fmt.Errorf("-csv requires -manifest, or -time, -dims, and -measure")
 		}
-		agg, aerr := parseAgg(aggName)
+		agg, aerr := relation.ParseAggFunc(strings.ToUpper(aggName))
 		if aerr != nil {
 			return aerr
 		}
@@ -171,38 +173,6 @@ func run(csvPath, demo, manifestPath, timeCol, dims, measure, aggName, explainBy
 		fmt.Printf("\nwrote trendline SVG to %s\n", svgOut)
 	}
 	return nil
-}
-
-func demoDataset(name string) (*datasets.Dataset, error) {
-	switch name {
-	case "covid", "covid-total":
-		return datasets.CovidTotal(), nil
-	case "covid-daily":
-		return datasets.CovidDaily(), nil
-	case "sp500":
-		return datasets.SP500(), nil
-	case "liquor":
-		return datasets.Liquor(), nil
-	case "vax-deaths":
-		return datasets.VaxDeaths(), nil
-	case "stream":
-		return datasets.Stream(datasets.StreamDays), nil
-	default:
-		return nil, fmt.Errorf("unknown demo dataset %q", name)
-	}
-}
-
-func parseAgg(s string) (tsexplain.AggFunc, error) {
-	switch strings.ToUpper(s) {
-	case "SUM":
-		return tsexplain.Sum, nil
-	case "COUNT":
-		return tsexplain.Count, nil
-	case "AVG":
-		return tsexplain.Avg, nil
-	default:
-		return 0, fmt.Errorf("unknown aggregate %q", s)
-	}
 }
 
 func splitList(s string) []string {

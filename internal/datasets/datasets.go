@@ -103,3 +103,40 @@ func jitter(rng *rand.Rand, scale float64) float64 {
 	}
 	return f
 }
+
+// builtins lists the compiled-in datasets the server, the CLI and datagen
+// serve by name, under their canonical names in listing order; alias is
+// an alternative name, if any.
+var builtins = []struct {
+	name, alias string
+	gen         func() *Dataset
+}{
+	{"covid", "covid-total", CovidTotal},
+	{"covid-daily", "", CovidDaily},
+	{"sp500", "", SP500},
+	{"liquor", "", Liquor},
+	{"vax-deaths", "", VaxDeaths},
+	{"stream", "", func() *Dataset { return Stream(StreamDays) }},
+}
+
+// BuiltinNames returns the built-in datasets' canonical names in listing
+// order.
+func BuiltinNames() []string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
+	}
+	return names
+}
+
+// Builtin resolves a built-in dataset's canonical name or alias to the
+// canonical name and the dataset's generator; ok is false for any other
+// name.
+func Builtin(name string) (canonical string, gen func() *Dataset, ok bool) {
+	for _, b := range builtins {
+		if name == b.name || b.alias != "" && name == b.alias {
+			return b.name, b.gen, true
+		}
+	}
+	return "", nil, false
+}

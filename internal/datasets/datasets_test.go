@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/explain"
@@ -337,5 +338,32 @@ func TestHelperShapes(t *testing.T) {
 	}
 	if got := strings3("ab"); got != "ABX" {
 		t.Errorf("strings3 short = %q", got)
+	}
+}
+
+// TestBuiltinLookup pins the one table of built-in datasets: the listing
+// order the server's /api/datasets shows, and the names and alias the
+// server, the CLI and datagen accept.
+func TestBuiltinLookup(t *testing.T) {
+	want := []string{"covid", "covid-daily", "sp500", "liquor", "vax-deaths", "stream"}
+	if got := BuiltinNames(); !slices.Equal(got, want) {
+		t.Fatalf("BuiltinNames() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		if canon, gen, ok := Builtin(name); !ok || canon != name || gen == nil {
+			t.Errorf("Builtin(%q) = %q, %v", name, canon, ok)
+		}
+	}
+	canon, gen, ok := Builtin("covid-total")
+	if !ok || canon != "covid" || gen().Name != CovidTotal().Name {
+		t.Errorf("Builtin(covid-total) = %q, %v, want the covid dataset", canon, ok)
+	}
+	if _, gen, ok := Builtin("stream"); !ok || gen().Rel.NumTimestamps() != StreamDays {
+		t.Errorf("Builtin(stream) does not generate %d days of the stream dataset", StreamDays)
+	}
+	for _, name := range []string{"", "taxonomy", "Covid", "covid-total "} {
+		if _, _, ok := Builtin(name); ok {
+			t.Errorf("Builtin(%q) resolved, want unknown", name)
+		}
 	}
 }

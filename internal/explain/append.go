@@ -6,19 +6,21 @@ import (
 	"repro/internal/relation"
 )
 
-// This file implements the universe's append path — the heart of the
-// real-time extension's O(delta) ingestion. A universe built with
-// Config.Streaming retains its group-by plans and lays every candidate's
-// series out in a candidate-major arena with tail headroom; Append then
-// consumes only the rows added to the relation since the last call:
+// This file implements the universe's one growth path and the append path
+// built on it — the heart of the real-time extension's O(delta)
+// ingestion. A fresh build grows an empty universe over every relation
+// row; a universe built with Config.Streaming retains its group-by plans
+// and lays every candidate's series out in a candidate-major arena with
+// tail headroom, and Append then grows it over only the rows added to the
+// relation since the last call:
 //
-//   - each plan discovers the delta's groups and extends its slot map
-//     (pass 1 over the delta only);
-//   - groups first occurring in the delta become candidates registered at
+//   - each plan discovers the rows' groups and extends its slot map
+//     (pass 1 over the new rows only);
+//   - groups first occurring in the rows become candidates registered at
 //     the tail of the candidate list, so every existing candidate ID —
 //     and with it every cached per-segment result — stays valid with no
 //     remapping;
-//   - the delta's contributions are accumulated into the arena in row
+//   - the rows' contributions are accumulated into the arena in row
 //     order, which keeps every series bit-identical to a from-scratch
 //     build over the full relation;
 //   - when the universe is smoothed, only the tail window the new points
@@ -85,111 +87,120 @@ func (u *Universe) Append() (AppendInfo, error) {
 	if newT > u.arenaCap {
 		u.growArenaCap(oldT, newT+newT/2)
 	}
-
-	// Pass 1: every plan discovers the delta's groups.
-	for _, p := range st.plans {
-		p.AppendRows(fromRow)
+	if err := u.grow(st, fromRow, nil); err != nil {
+		return info, err
 	}
+	info.NewCandidates = len(u.cands) - info.OldCandidates
+	info.ChangedFrom = p0
+	if u.smooth != nil {
+		info.ChangedFrom = u.resmoothTail(p0, newT, info.OldCandidates)
+	}
+	return info, nil
+}
 
-	// Register candidates first occurring in the delta at the tail,
-	// subset-major and rank-ascending within each subset — the same
-	// deterministic order construction uses, with IDs continuing after
-	// every existing candidate.
-	for si, p := range st.plans {
-		subset := st.subsets[si]
-		for g, ng := len(st.candOf[si]), p.NumGroups(); g < ng; g++ {
+// grow consumes the relation rows [fromRow, NumRows) — every row on a
+// fresh build, the delta on an append — in two passes over st's group-by
+// plans:
+//
+//   - pass 1 extends each subset's plan with the rows' groups and
+//     registers the new ones as candidates after every existing one,
+//     subset-major and rank-ascending;
+//   - pass 2 adds the rows into the arena in row order.
+//
+// The new candidates are then linked, the raw overall series is extended
+// in the same row order, and every candidate's series is re-pointed at
+// the new length. cancel, when non-nil, is polled between subsets in both
+// passes.
+func (u *Universe) grow(st *streamState, fromRow int, cancel func() error) error {
+	if cancel == nil {
+		cancel = func() error { return nil }
+	}
+	r := u.rel
+	old := len(u.cands)
+	for si, subset := range st.subsets {
+		if err := cancel(); err != nil {
+			return err
+		}
+		p := st.plans[si]
+		if p == nil {
+			p = r.PlanGroupBy(subset, u.measure)
+			st.plans[si] = p
+		} else {
+			p.AppendRows(fromRow)
+		}
+		for g := len(st.candOf[si]); g < p.NumGroups(); g++ {
 			ids := p.GroupIDsAt(g)
 			conj := make(relation.Conjunction, len(subset))
-			for i := range subset {
-				conj[i] = relation.Pred{Dim: subset[i], Value: ids[i]}
+			for i, d := range subset {
+				conj[i] = relation.Pred{Dim: d, Value: ids[i]}
 			}
 			id := len(u.cands)
-			u.ensureSlot(id)
 			u.cands = append(u.cands, &Candidate{ID: id, Conj: conj})
 			u.index.insert(conj, id)
 			st.candOf[si] = append(st.candOf[si], id)
 		}
 	}
-	info.NewCandidates = len(u.cands) - info.OldCandidates
 
-	// Adjacency and ancestor closure for the new candidates. All their
-	// prefixes exist by now (any prefix of an occurring conjunction
-	// occurs in the same rows), and appending in ascending ID order keeps
-	// every child list sorted without re-sorting.
-	if info.NewCandidates > 0 {
-		u.childrenFlat = append(u.childrenFlat, make([][][]uint32, info.NewCandidates)...)
-		for id := info.OldCandidates; id < len(u.cands); id++ {
-			c := u.cands[id]
-			for _, p := range c.Conj {
-				parent := c.Conj.Without(p.Dim)
-				parentID := 0 // root
-				if len(parent) > 0 {
-					pid, ok := u.index.lookup(parent)
-					if !ok {
-						// Unreachable by prefix closure; guard anyway.
-						continue
-					}
-					parentID = pid + 1
-				}
-				u.addChildFlat(parentID, p.Dim, uint32(id))
-			}
-			// Taxonomy roll-up edges: the roll-up occurs in the same rows,
-			// so it is either pre-existing or registered in this batch, and
-			// ascending-ID appends keep its child lists sorted too.
-			if len(u.hier) > 0 {
-				u.addTaxEdges(c)
-			}
-			// New candidates register at the tail, so extending the CSR
-			// ancestor closure in id order keeps the layout valid.
-			u.appendAncestors(c.Conj)
+	// A fresh build sizes the arena once: exactly for a one-shot universe,
+	// with the append path's slot headroom for a streaming one.
+	n := len(u.cands)
+	if u.raw == nil {
+		slots := n
+		if u.stream != nil {
+			slots += n/4 + 16
 		}
+		u.raw = make([]relation.SumCount, slots*u.arenaCap)
+	}
+	for id := old; id < n; id++ {
+		u.ensureSlot(id)
 	}
 
-	// Pass 2: accumulate only the delta into the arena.
-	capA := u.arenaCap
+	T, capA := r.NumTimestamps(), u.arenaCap
 	for si, p := range st.plans {
+		if err := cancel(); err != nil {
+			return err
+		}
 		candOf := st.candOf[si]
+		if fromRow == 0 {
+			// Every group is new, so the plan's candidates are consecutive
+			// in rank order: fill them through the plan's slot record.
+			if len(candOf) > 0 {
+				p.FillArena(u.raw[candOf[0]*capA:], capA)
+			}
+			continue
+		}
 		p.FillRows(fromRow, func(rank int) []relation.SumCount {
 			id := candOf[rank]
-			return u.raw[id*capA : id*capA+newT]
+			return u.raw[id*capA : id*capA+T]
 		})
 	}
+	u.linkFrom(old)
 
-	// Extend the raw overall series in row order (identical accumulation
-	// order to a from-scratch AggregateSeries over the full relation).
-	if cap(u.rawTotal) < newT {
-		grown := make([]relation.SumCount, newT, capA)
+	if cap(u.rawTotal) < T {
+		grown := make([]relation.SumCount, T, capA)
 		copy(grown, u.rawTotal)
 		u.rawTotal = grown
-	} else {
-		u.rawTotal = u.rawTotal[:newT]
 	}
-	for row := fromRow; row < nRows; row++ {
+	u.rawTotal = u.rawTotal[:T]
+	for row := fromRow; row < r.NumRows(); row++ {
 		sc := &u.rawTotal[r.TimeIndex(row)]
 		sc.Sum += r.MeasureValue(u.measure, row)
 		sc.Count++
 	}
 
-	changed := p0
-	if u.smooth != nil {
-		changed = u.resmoothTail(p0, newT, info.OldCandidates)
-	}
-	info.ChangedFrom = changed
-
-	// Re-point every candidate's series and the active total at the new
-	// length.
+	// A smoothed universe's views are the smoothed arena's; Append
+	// re-smooths their tail and total afterwards.
 	active := u.raw
 	if u.smooth != nil {
 		active = u.smooth.arena
-		u.total = u.smooth.total
 	} else {
 		u.total = u.rawTotal
 	}
 	for id, c := range u.cands {
-		c.Series = active[id*capA : id*capA+newT : (id+1)*capA]
+		c.Series = active[id*capA : id*capA+T : (id+1)*capA]
 	}
-	st.ingested = nRows
-	return info, nil
+	st.ingested = r.NumRows()
+	return nil
 }
 
 // resmoothTail extends the smoothing prefix sums past the first touched
@@ -233,6 +244,7 @@ func (u *Universe) resmoothTail(p0, newT, oldCands int) int {
 		fillPrefix(pref, raw, from)
 		smoothRange(sm.arena[id*capA:id*capA+newT], pref, newT, sm.window, lo0)
 	}
+	u.total = sm.total
 	return lo0
 }
 

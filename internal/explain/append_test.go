@@ -2,8 +2,10 @@ package explain
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/relation"
 )
 
@@ -44,8 +46,9 @@ func buildStream(t *testing.T, timeVals []string, dims [][]string, measures [][]
 
 // sameUniverse checks the streamed universe against a fresh build over
 // the same relation: identical candidate sets (matched by conjunction),
-// bit-identical series and totals, and equivalent drill-down adjacency.
-func sameUniverse(t *testing.T, ctx string, got, want *Universe) {
+// bit-identical series and totals, and the same drill-down adjacency at
+// every node, with every child list strictly ascending in both.
+func sameUniverse(t testing.TB, ctx string, got, want *Universe) {
 	t.Helper()
 	if got.NumCandidates() != want.NumCandidates() {
 		t.Fatalf("%s: %d candidates, want %d", ctx, got.NumCandidates(), want.NumCandidates())
@@ -55,7 +58,7 @@ func sameUniverse(t *testing.T, ctx string, got, want *Universe) {
 	}
 	gt, wt := got.TotalValues(), want.TotalValues()
 	for i := range wt {
-		if gt[i] != wt[i] {
+		if !sameFloat(gt[i], wt[i]) {
 			t.Fatalf("%s: total[%d] = %v, want %v", ctx, i, gt[i], wt[i])
 		}
 	}
@@ -68,44 +71,57 @@ func sameUniverse(t *testing.T, ctx string, got, want *Universe) {
 		}
 		gv, wv := got.CandidateValues(gid), want.CandidateValues(id)
 		for i := range wv {
-			if gv[i] != wv[i] {
+			if !sameFloat(gv[i], wv[i]) {
 				t.Fatalf("%s: %s value[%d] = %v, want %v", ctx, wc.Conj.String(rel), i, gv[i], wv[i])
 			}
 		}
 		// Ancestor sets must agree through the conjunction mapping.
-		wantAnc := map[string]bool{}
-		for _, aid := range want.AncestorsOf(id) {
-			wantAnc[want.Candidate(int(aid)).Conj.Key()] = true
+		if g, w := conjKeys(got, got.AncestorsOf(gid)), conjKeys(want, want.AncestorsOf(id)); !slices.Equal(g, w) {
+			t.Fatalf("%s: %s ancestors %v, want %v", ctx, wc.Conj.String(rel), g, w)
 		}
-		gotAnc := map[string]bool{}
-		for _, aid := range got.AncestorsOf(gid) {
-			gotAnc[got.Candidate(int(aid)).Conj.Key()] = true
+	}
+	childrenAscend(t, ctx+" (streamed)", got)
+	childrenAscend(t, ctx+" (fresh)", want)
+	// Every node's drill-down per dimension must expose the same children.
+	for id := -1; id < want.NumCandidates(); id++ {
+		gid, node := -1, "root"
+		if id >= 0 {
+			gid, _ = got.Lookup(want.Candidate(id).Conj)
+			node = want.Candidate(id).Conj.String(rel)
 		}
-		if len(gotAnc) != len(wantAnc) {
-			t.Fatalf("%s: %s ancestors %v, want %v", ctx, wc.Conj.String(rel), gotAnc, wantAnc)
-		}
-		for k := range wantAnc {
-			if !gotAnc[k] {
-				t.Fatalf("%s: %s missing ancestor %s", ctx, wc.Conj.String(rel), k)
+		for _, dim := range want.ExplainBy() {
+			g, w := conjKeys(got, got.ChildrenOf(gid, dim)), conjKeys(want, want.ChildrenOf(id, dim))
+			if !slices.Equal(g, w) {
+				t.Fatalf("%s: %s children over dim %d = %v, want %v", ctx, node, dim, g, w)
 			}
 		}
 	}
-	// Root drill-down per dimension must expose the same child slices.
-	for _, dim := range want.ExplainBy() {
-		wantKids := map[string]bool{}
-		for _, id := range want.ChildrenOf(-1, dim) {
-			wantKids[want.Candidate(int(id)).Conj.Key()] = true
-		}
-		gotKids := map[string]bool{}
-		for _, id := range got.ChildrenOf(-1, dim) {
-			gotKids[got.Candidate(int(id)).Conj.Key()] = true
-		}
-		if len(gotKids) != len(wantKids) {
-			t.Fatalf("%s: root children over dim %d = %v, want %v", ctx, dim, gotKids, wantKids)
-		}
-		for k := range wantKids {
-			if !gotKids[k] {
-				t.Fatalf("%s: root missing child %s over dim %d", ctx, k, dim)
+}
+
+// sameFloat reports whether a and b are the same value, NaN included.
+func sameFloat(a, b float64) bool { return a == b || a != a && b != b }
+
+// conjKeys returns the sorted conjunction keys of the candidates ids.
+func conjKeys(u *Universe, ids []uint32) []string {
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = u.Candidate(int(id)).Conj.Key()
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// childrenAscend asserts that every child list of u strictly ascends, the
+// order the Cascading Analysts DP and its extraction rely on.
+func childrenAscend(t testing.TB, ctx string, u *Universe) {
+	t.Helper()
+	for id := -1; id < u.NumCandidates(); id++ {
+		for _, dim := range u.ExplainBy() {
+			kids := u.ChildrenOf(id, dim)
+			for i := 1; i < len(kids); i++ {
+				if kids[i] <= kids[i-1] {
+					t.Fatalf("%s: children of node %d over dim %d not strictly ascending: %v", ctx, id, dim, kids)
+				}
 			}
 		}
 	}
@@ -115,67 +131,144 @@ func universeConfig() Config {
 	return Config{Measure: "v", Agg: relation.Sum, MaxOrder: 2, Streaming: true}
 }
 
-func TestUniverseAppendMatchesFresh(t *testing.T) {
-	for _, smooth := range []int{0, 5} {
-		t.Run(fmt.Sprintf("smooth=%d", smooth), func(t *testing.T) {
-			timeVals, dims, measures := streamRows(12)
+// rowSet is an input's rows in time order, row-major in the shape
+// Relation.AppendRows consumes, with the schema a Builder needs.
+type rowSet struct {
+	dimNames, measNames []string
+	timeVals            []string
+	dims                [][]string
+	measures            [][]float64
+	// declare, when non-nil, declares the input's taxonomy on every
+	// relation built over its rows.
+	declare func(*relation.Relation) error
+}
 
-			// Stream: start with 6 days, then append the rest in three
-			// uneven batches (one of which introduces z/g9).
-			cut := func(day int) int {
-				for i, tv := range timeVals {
-					if tv >= fmt.Sprintf("d%03d", day) {
-						return i
-					}
-				}
-				return len(timeVals)
-			}
-			streamed := buildStream(t, timeVals[:cut(6)], dims[:cut(6)], measures[:cut(6)])
-			u, err := NewUniverse(streamed, universeConfig())
-			if err != nil {
+// build returns a relation over the first n rows.
+func (rs rowSet) build(t testing.TB, n int) *relation.Relation {
+	t.Helper()
+	b := relation.NewBuilder("rows", "day", rs.dimNames, rs.measNames)
+	for i := 0; i < n; i++ {
+		if err := b.Append(rs.timeVals[i], rs.dims[i], rs.measures[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.declare != nil {
+		if err := rs.declare(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// growMatchesFresh builds a streaming universe over the first cuts[0]
+// rows, smooths it when smooth > 1, then appends the rows up to each later
+// cut through Relation.AppendRows and Universe.Append. After each append
+// it checks the universe against a one-shot NewUniverse over the same
+// rows. Candidate IDs must survive every append.
+func growMatchesFresh(t testing.TB, rs rowSet, cfg Config, smooth int, cuts []int) {
+	t.Helper()
+	cfg.Streaming = true
+	streamed := rs.build(t, cuts[0])
+	u, err := NewUniverse(streamed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smooth > 1 {
+		u.Smooth(smooth)
+	}
+	idOf := map[string]int{}
+	for _, hi := range cuts[1:] {
+		for id := 0; id < u.NumCandidates(); id++ {
+			idOf[u.Candidate(id).Conj.Key()] = id
+		}
+		if from := streamed.NumRows(); hi > from {
+			if err := streamed.AppendRows(rs.timeVals[from:hi], rs.dims[from:hi], rs.measures[from:hi]); err != nil {
 				t.Fatal(err)
 			}
-			if smooth > 1 {
-				u.Smooth(smooth)
+		}
+		info, err := u.Append()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.NewTimestamps != streamed.NumTimestamps() {
+			t.Fatalf("info.NewTimestamps = %d, want %d", info.NewTimestamps, streamed.NumTimestamps())
+		}
+		for key, id := range idOf {
+			if u.Candidate(id).Conj.Key() != key {
+				t.Fatalf("after append to row %d: candidate %d changed conjunction", hi, id)
 			}
+		}
+		freshCfg := cfg
+		freshCfg.Streaming = false
+		fresh, err := NewUniverse(rs.build(t, hi), freshCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if smooth > 1 {
+			fresh.Smooth(smooth)
+		}
+		sameUniverse(t, fmt.Sprintf("rows %d", hi), u, fresh)
+	}
+}
 
-			// Existing candidate IDs must survive every append untouched.
-			idOf := map[string]int{}
-			for id := 0; id < u.NumCandidates(); id++ {
-				idOf[u.Candidate(id).Conj.Key()] = id
+// streamRowSet is streamRows(days) as a rowSet.
+func streamRowSet(days int) rowSet {
+	timeVals, dims, measures := streamRows(days)
+	return rowSet{dimNames: []string{"a", "g"}, measNames: []string{"v"}, timeVals: timeVals, dims: dims, measures: measures}
+}
+
+// taxonomyRowSet replays the taxonomy dataset's rows in time order at full
+// width (its derived price bin becomes a plain column), with the dataset's
+// declared hierarchy.
+func taxonomyRowSet() rowSet {
+	r := datasets.Taxonomy().Rel
+	timeVals, dims, measures := r.RowBatch(r.RowsByTime(), 0, r.NumTimestamps())
+	return rowSet{
+		dimNames: r.DimNames(), measNames: r.MeasureNames(),
+		timeVals: timeVals, dims: dims, measures: measures,
+		declare: func(r *relation.Relation) error {
+			return r.DeclareHierarchy("cat>subcat>leaf", []string{"cat", "subcat", "leaf"})
+		},
+	}
+}
+
+func TestUniverseAppendMatchesFresh(t *testing.T) {
+	// Stream: start with 6 days, then append the rest in three uneven
+	// batches (one of which introduces z/g9).
+	stream := streamRowSet(12)
+	dayCut := func(day int) int {
+		for i, tv := range stream.timeVals {
+			if tv >= fmt.Sprintf("d%03d", day) {
+				return i
 			}
-
-			for _, to := range []int{8, 10, 12} {
-				from := cut(to - 2)
-				hi := cut(to)
-				if err := streamed.AppendRows(timeVals[from:hi], dims[from:hi], measures[from:hi]); err != nil {
-					t.Fatal(err)
-				}
-				info, err := u.Append()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info.NewTimestamps != streamed.NumTimestamps() {
-					t.Fatalf("info.NewTimestamps = %d, want %d", info.NewTimestamps, streamed.NumTimestamps())
-				}
-				for key, id := range idOf {
-					if u.Candidate(id).Conj.Key() != key {
-						t.Fatalf("after append to day %d: candidate %d changed conjunction", to, id)
-					}
-				}
-				for id := 0; id < u.NumCandidates(); id++ {
-					idOf[u.Candidate(id).Conj.Key()] = id
-				}
-
-				fullPrefix := buildStream(t, timeVals[:hi], dims[:hi], measures[:hi])
-				fresh, err := NewUniverse(fullPrefix, universeConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if smooth > 1 {
-					fresh.Smooth(smooth)
-				}
-				sameUniverse(t, fmt.Sprintf("day %d", to), u, fresh)
+		}
+		return len(stream.timeVals)
+	}
+	// Taxonomy: start mid-way through the first timestamp, so later
+	// batches bring new leaves, subcategories and categories — and with
+	// them taxonomy roll-up edges — and revise the last timestamp.
+	tax := taxonomyRowSet()
+	taxCfg := datasets.Taxonomy()
+	inputs := []struct {
+		name string
+		rows rowSet
+		cfg  Config
+		cuts []int
+	}{
+		{"stream", stream, universeConfig(), []int{dayCut(6), dayCut(8), dayCut(10), dayCut(12)}},
+		{"taxonomy", tax, Config{Measure: taxCfg.Measure, Agg: taxCfg.Agg, ExplainBy: taxCfg.ExplainBy, MaxOrder: taxCfg.MaxOrder},
+			[]int{20, 150, 400, len(tax.timeVals)}},
+	}
+	for _, smooth := range []int{0, 5} {
+		t.Run(fmt.Sprintf("smooth=%d", smooth), func(t *testing.T) {
+			for _, in := range inputs {
+				t.Run(in.name, func(t *testing.T) {
+					growMatchesFresh(t, in.rows, in.cfg, smooth, in.cuts)
+				})
 			}
 		})
 	}
@@ -191,4 +284,102 @@ func TestUniverseAppendRequiresStreaming(t *testing.T) {
 	if _, err := u.Append(); err == nil {
 		t.Error("Append on a non-streaming universe: want error")
 	}
+}
+
+// fuzzRows decodes a fuzz input into a small relation's rows. A four-byte
+// header gives the dimension count (1–3), the aggregate, the row the
+// stream starts after and a second split (0: append the rest in one
+// batch). One record per row follows: a time step (odd steps advance the
+// timestamp, up to 16 of them), one value byte per dimension (5 values
+// each), and a measure kind and value byte — zero, integral, fractional or
+// negative non-dyadic by kind. Splits may fall inside a timestamp, so a
+// batch may revise the last label.
+func fuzzRows(data []byte) (rs rowSet, agg relation.AggFunc, cuts []int, ok bool) {
+	if len(data) < 4 {
+		return rs, 0, nil, false
+	}
+	nDims := 1 + int(data[0])%3
+	agg = []relation.AggFunc{relation.Sum, relation.Count, relation.Avg}[data[1]%3]
+	rec := nDims + 3
+	nRows := min((len(data)-4)/rec, 64)
+	if nRows == 0 {
+		return rs, 0, nil, false
+	}
+	for d := 0; d < nDims; d++ {
+		rs.dimNames = append(rs.dimNames, fmt.Sprintf("d%d", d))
+	}
+	rs.measNames = []string{"m"}
+	t := 0
+	for i := 0; i < nRows; i++ {
+		r := data[4+i*rec : 4+(i+1)*rec]
+		if r[0]%2 == 1 && t < 15 {
+			t++
+		}
+		rs.timeVals = append(rs.timeVals, fmt.Sprintf("t%02d", t))
+		dims := make([]string, nDims)
+		for d := range dims {
+			dims[d] = fmt.Sprintf("v%d", r[1+d]%5)
+		}
+		rs.dims = append(rs.dims, dims)
+		var v float64
+		switch kind, b := r[1+nDims]%4, r[2+nDims]; kind {
+		case 1:
+			v = float64(int8(b))
+		case 2:
+			v = float64(int8(b)) / 8
+		case 3:
+			v = -float64(b) / 10
+		}
+		rs.measures = append(rs.measures, []float64{v})
+	}
+	first := 1 + int(data[2])%nRows
+	cuts = []int{first}
+	if data[3] != 0 {
+		cuts = append(cuts, first+int(data[3])%(nRows-first+1))
+	}
+	return rs, agg, append(cuts, nRows), true
+}
+
+// streamSeed encodes streamRows(days) in fuzzRows' format with the given
+// header bytes and measure kind.
+func streamSeed(days int, agg, split, split2, kind byte) []byte {
+	timeVals, dims, measures := streamRows(days)
+	data := []byte{1, agg, split, split2}
+	ids := []map[string]byte{{}, {}}
+	for i := range timeVals {
+		step := byte(0)
+		if i > 0 && timeVals[i] != timeVals[i-1] {
+			step = 1
+		}
+		data = append(data, step)
+		for d, v := range dims[i] {
+			id, ok := ids[d][v]
+			if !ok {
+				id = byte(len(ids[d]))
+				ids[d][v] = id
+			}
+			data = append(data, id)
+		}
+		data = append(data, kind, byte(int8(measures[i][0])))
+	}
+	return data
+}
+
+// FuzzUniverseAppend streams a small fuzzed relation into a universe —
+// built on a prefix of its rows, then grown by Relation.AppendRows and
+// Universe.Append in one or two batches — and holds the result to a fresh
+// build over all rows at every order threshold.
+func FuzzUniverseAppend(f *testing.F) {
+	f.Add(streamSeed(12, 0, 12, 0, 1))
+	f.Add(streamSeed(12, 2, 15, 3, 2))
+	f.Add(streamSeed(12, 1, 0, 200, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, agg, cuts, ok := fuzzRows(data)
+		if !ok {
+			return
+		}
+		for order := 1; order <= 3; order++ {
+			growMatchesFresh(t, rs, Config{Measure: "m", Agg: agg, MaxOrder: order}, 0, cuts)
+		}
+	})
 }

@@ -96,9 +96,10 @@ type Universe struct {
 	stream *streamState // non-nil when built with Config.Streaming
 }
 
-// streamState is the retained pass-1 state that lets Append consume only
-// newly arrived rows: one group-by plan per explain-by subset, plus the
-// mapping from each plan's group ranks to universe candidate IDs.
+// streamState holds the group-by state a universe grows through: one plan
+// per explain-by subset, plus the mapping from each plan's group ranks to
+// universe candidate IDs. Every build uses it; only a universe built with
+// Config.Streaming retains it, so Append can consume newly arrived rows.
 type streamState struct {
 	subsets  [][]int
 	plans    []*relation.GroupByPlan
@@ -179,7 +180,10 @@ func (ix *candIndex) lookup(c relation.Conjunction) (int, bool) {
 }
 
 // NewUniverse enumerates all candidate explanations of order ≤ β̄ that
-// occur in r and precomputes their aggregate series.
+// occur in r and precomputes their aggregate series. It sets up an empty
+// universe — the explain-by subsets, the taxonomy resolution and the arena
+// stride — and grows it over every row of r, the step Append takes over a
+// delta.
 func NewUniverse(r *relation.Relation, cfg Config) (*Universe, error) {
 	m := r.MeasureIndex(cfg.Measure)
 	if m < 0 {
@@ -213,170 +217,98 @@ func NewUniverse(r *relation.Relation, cfg Config) (*Universe, error) {
 		maxOrder = len(dims)
 	}
 
-	u := &Universe{
-		rel:       r,
-		agg:       cfg.Agg,
-		measure:   m,
-		explainBy: dims,
-		maxOrder:  maxOrder,
-		rawTotal:  r.AggregateSeries(m),
-		index:     newCandIndex(r, maxOrder),
-	}
-	u.total = u.rawTotal
+	u := emptyUniverse(r, cfg.Agg, m, dims, maxOrder)
 
-	// Enumerate every attribute subset of size 1..β̄ and group-by each
-	// with the columnar kernel: plan all subsets (pass 1), allocate ONE
-	// candidate-major arena backing every candidate's series, then fill
-	// the disjoint arena ranges (pass 2). The kernel orders each subset's
-	// groups by id tuple, so candidate IDs are deterministic. Taxonomies
-	// come only from the relation's own declarations, which this reads
-	// and never extends.
-	cancel := cfg.Cancel
-	if cancel == nil {
-		cancel = func() error { return nil }
-	}
-	u.initDimPos()
-	u.resolveHierarchies()
-	subsetList := subsets(dims, maxOrder)
+	// Every attribute subset of size 1..β̄ is one group-by; the kernel
+	// orders each subset's groups by id tuple, so candidate IDs are
+	// deterministic. Taxonomies come only from the relation's own
+	// declarations, which this reads and never extends.
+	st := &streamState{subsets: subsets(dims, maxOrder)}
 	if len(u.hier) > 0 {
-		subsetList = u.filterHierSubsets(subsetList)
+		st.subsets = u.filterHierSubsets(st.subsets)
 	}
-	plans := make([]*relation.GroupByPlan, len(subsetList))
-	for i, subset := range subsetList {
-		if err := cancel(); err != nil {
-			return nil, err
-		}
-		plans[i] = r.PlanGroupBy(subset, m)
-	}
-	T := r.NumTimestamps()
-	offsets := make([]int, len(plans)+1)
-	for i, p := range plans {
-		offsets[i+1] = offsets[i] + p.NumGroups()
-	}
-	totalGroups := offsets[len(plans)]
+	st.plans = make([]*relation.GroupByPlan, len(st.subsets))
+	st.candOf = make([][]int, len(st.subsets))
 	// Streaming universes get segcache-style headroom in both dimensions
-	// (timestamps per series, candidate slots) so the common append —
-	// later days, maybe a few new candidates — never reallocates.
+	// (timestamps per series here, candidate slots in grow) so the common
+	// append — later days, maybe a few new candidates — never reallocates.
+	// One-shot universes drop the plans with the build.
+	T := r.NumTimestamps()
 	u.arenaCap = T
-	slotCap := totalGroups
 	if cfg.Streaming {
 		u.arenaCap = T + T/2 + 8
-		slotCap = totalGroups + totalGroups/4 + 16
-		grown := make([]relation.SumCount, T, u.arenaCap)
-		copy(grown, u.rawTotal)
-		u.rawTotal = grown
-		u.total = u.rawTotal
+		u.stream = st
 	}
-	u.raw = make([]relation.SumCount, slotCap*u.arenaCap)
-	for i, p := range plans {
-		if p.NumGroups() == 0 {
-			continue
-		}
-		if err := cancel(); err != nil {
-			return nil, err
-		}
-		p.FillArena(u.raw[offsets[i]*u.arenaCap:(offsets[i]+p.NumGroups())*u.arenaCap], u.arenaCap)
+	if err := u.grow(st, 0, cfg.Cancel); err != nil {
+		return nil, err
 	}
-	u.cands = make([]*Candidate, 0, totalGroups)
-	for si, p := range plans {
-		subset := subsetList[si]
-		for g, ng := 0, p.NumGroups(); g < ng; g++ {
-			ids := p.GroupIDsAt(g)
-			conj := make(relation.Conjunction, len(subset))
-			for i := range subset {
-				conj[i] = relation.Pred{Dim: subset[i], Value: ids[i]}
-			}
-			id := len(u.cands)
-			c := &Candidate{ID: id, Conj: conj, Series: u.raw[id*u.arenaCap : id*u.arenaCap+T : (id+1)*u.arenaCap]}
-			u.cands = append(u.cands, c)
-			u.index.insert(conj, id)
-		}
-	}
-	if cfg.Streaming {
-		candOf := make([][]int, len(plans))
-		for si := range plans {
-			ids := make([]int, plans[si].NumGroups())
-			for g := range ids {
-				ids[g] = offsets[si] + g
-			}
-			candOf[si] = ids
-		}
-		u.stream = &streamState{
-			subsets:  subsetList,
-			plans:    plans,
-			candOf:   candOf,
-			ingested: r.NumRows(),
-		}
-	}
-
-	u.buildDerivedIndexes()
 	return u, nil
 }
 
-// buildDerivedIndexes computes the state derived purely from the
-// candidate list and index: the drill-down adjacency and the ancestor
-// closure. It is shared by NewUniverse and the snapshot decoder — a
-// restored universe rebuilds this cheap derived state in memory instead
-// of persisting it.
-func (u *Universe) buildDerivedIndexes() {
-	u.initDimPos()
-	if u.hierOf == nil {
-		// Snapshot-decoded universes resolve their (relation-declared,
-		// hence persisted) hierarchies here; NewUniverse resolved before
-		// enumeration.
-		u.resolveHierarchies()
+// emptyUniverse sets up an empty universe for one query shape over r: the
+// candidate index, the explain-by positions and the taxonomy resolution.
+func emptyUniverse(r *relation.Relation, agg relation.AggFunc, m int, explainBy []int, maxOrder int) *Universe {
+	u := &Universe{
+		rel:       r,
+		agg:       agg,
+		measure:   m,
+		explainBy: explainBy,
+		maxOrder:  maxOrder,
+		index:     newCandIndex(r, maxOrder),
+		dimPos:    make([]int32, r.NumDims()),
 	}
-	// Build the drill-down adjacency: each candidate of order β is a child
-	// of each of its β order-(β−1) prefixes, under the removed dimension.
-	u.childrenFlat = make([][][]uint32, len(u.cands)+1)
-	for _, c := range u.cands {
-		for _, p := range c.Conj {
-			parent := c.Conj.Without(p.Dim)
-			parentID := 0 // root
-			if len(parent) > 0 {
-				id, ok := u.index.lookup(parent)
-				if !ok {
-					// Every prefix of an occurring conjunction occurs, so
-					// this is unreachable; guard anyway.
-					continue
-				}
-				parentID = id + 1
-			}
-			u.addChildFlat(parentID, p.Dim, uint32(c.ID))
-		}
-	}
-	if len(u.hier) > 0 {
-		for _, c := range u.cands {
-			u.addTaxEdges(c)
-		}
-	}
-	// Sort child lists once so the DP and its extraction never re-sort.
-	for _, byPos := range u.childrenFlat {
-		for _, kids := range byPos {
-			sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		}
-	}
-
-	// Precompute each candidate's ancestor closure (every non-empty
-	// sub-conjunction, itself included). The Cascading Analysts DP uses
-	// it to prune drill-down to subtrees that can still reach a
-	// selectable candidate.
-	u.ancOff = make([]uint32, 1, len(u.cands)+1)
-	u.ancIDs = u.ancIDs[:0]
-	for _, c := range u.cands {
-		u.appendAncestors(c.Conj)
-	}
-}
-
-// initDimPos (re)builds the dimension-index → explain-by-position map.
-func (u *Universe) initDimPos() {
-	u.dimPos = make([]int32, u.rel.NumDims())
 	for i := range u.dimPos {
 		u.dimPos[i] = -1
 	}
-	for pos, d := range u.explainBy {
+	for pos, d := range explainBy {
 		u.dimPos[d] = int32(pos)
 	}
+	u.resolveHierarchies()
+	return u
+}
+
+// linkFrom links the candidates registered from ID from on, in ascending
+// ID order. A candidate enters any child list at most once, so every list
+// stays sorted and the DP and its extraction never re-sort. The first call
+// sizes the derived indexes for all candidates at once.
+func (u *Universe) linkFrom(from int) {
+	n := len(u.cands)
+	if u.ancOff == nil {
+		u.childrenFlat = make([][][]uint32, 1, n+1)
+		u.ancOff = make([]uint32, 1, n+1)
+	}
+	u.childrenFlat = append(u.childrenFlat, make([][][]uint32, n-from)...)
+	for id := from; id < n; id++ {
+		u.link(id)
+	}
+}
+
+// link wires candidate id into the state derived from the candidate list
+// and index, which a snapshot does not persist: the drill-down edge from
+// each parent the candidate extends by one predicate, the edge from each
+// of its taxonomy roll-ups, and its row of the ancestor closure (every
+// non-empty sub-conjunction, itself included) that the Cascading Analysts
+// DP prunes drill-down with. Every sub-conjunction and roll-up of the
+// candidate must already be registered.
+func (u *Universe) link(id int) {
+	c := u.cands[id]
+	for _, p := range c.Conj {
+		parentID := 0 // root
+		if parent := c.Conj.Without(p.Dim); len(parent) > 0 {
+			pid, ok := u.index.lookup(parent)
+			if !ok {
+				// Every prefix of an occurring conjunction occurs, so
+				// this is unreachable; guard anyway.
+				continue
+			}
+			parentID = pid + 1
+		}
+		u.addChildFlat(parentID, p.Dim, uint32(id))
+	}
+	if len(u.hier) > 0 {
+		u.addTaxEdges(c)
+	}
+	u.appendAncestors(c.Conj)
 }
 
 // addChildFlat records child id under (parentID, dim) in the flat

@@ -10,8 +10,9 @@ import "math"
 //
 // It returns the IDs of the surviving candidates (in ascending order). The
 // Universe itself is not modified, so callers can compare filtered and
-// unfiltered runs. ratio ≤ 0 keeps everything. The paper's default ratio
-// is 0.001.
+// unfiltered runs. ratio ≤ 0 keeps everything, including candidates that
+// are zero throughout, which FirstQualifying's |v| > 0 test would drop.
+// The paper's default ratio is 0.001.
 func (u *Universe) FilterLowSupport(ratio float64) []int {
 	ids := make([]int, 0, len(u.cands))
 	if ratio <= 0 {
@@ -21,16 +22,8 @@ func (u *Universe) FilterLowSupport(ratio float64) []int {
 		return ids
 	}
 	totalVals := u.TotalValues()
-	for id, cand := range u.cands {
-		keep := false
-		for t, sc := range cand.Series {
-			v := math.Abs(u.agg.Eval(sc.Sum, sc.Count))
-			if v >= ratio*math.Abs(totalVals[t]) && v > 0 {
-				keep = true
-				break
-			}
-		}
-		if keep {
+	for id := range u.cands {
+		if u.FirstQualifying(id, 0, ratio, totalVals) >= 0 {
 			ids = append(ids, id)
 		}
 	}
@@ -45,7 +38,7 @@ func (u *Universe) AllCandidateIDs() []int {
 
 // FirstQualifying returns the first position t ≥ from at which candidate
 // id passes the support filter — |v| ≥ ratio·|total| and |v| > 0, the
-// exact keep condition of FilterLowSupport — or -1 when none does.
+// keep condition of FilterLowSupport for ratio > 0 — or -1 when none does.
 // totalVals must be the universe's TotalValues(); callers scanning many
 // candidates compute it once. The incremental engine uses this to
 // maintain the filtered set in O(changed suffix) per append: a candidate

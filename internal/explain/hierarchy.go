@@ -54,7 +54,7 @@ func (hk *hierKept) parentVal(k int, v uint32) uint32 {
 // resolveHierarchies projects the relation's declared hierarchies onto the
 // explain-by set, filling hier/hierOf/hierLevel. Hierarchies with fewer
 // than two kept levels are ignored — one level behaves exactly like a flat
-// attribute. Requires initDimPos.
+// attribute. Requires dimPos.
 func (u *Universe) resolveHierarchies() {
 	u.hierOf = make([]int32, len(u.explainBy))
 	u.hierLevel = make([]int32, len(u.explainBy))

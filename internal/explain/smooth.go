@@ -1,9 +1,6 @@
 package explain
 
-import (
-	"repro/internal/relation"
-	"repro/internal/timeseries"
-)
+import "repro/internal/relation"
 
 // smoothState holds the smoothed views of an arena-backed universe: the
 // smoothed candidate arena and overall series the engine actually scores,
@@ -63,21 +60,13 @@ func smoothRange(out, prefix []relation.SumCount, T, window, from int) {
 // window <= 1 is a no-op. Smoothing is applied to the Universe rather
 // than the raw relation so the relation stays exact for other queries.
 //
-// On an arena-backed universe the smoothed series live in a second
-// candidate-major arena; the raw arena (and, when streaming, its prefix
-// sums) are retained so Append can extend the series and re-smooth only
-// the tail window each new point perturbs.
+// Smooth is called once, on a freshly built or restored universe. The
+// smoothed series live in a second candidate-major arena; a streaming
+// universe retains the raw arena and its prefix sums so Append can extend
+// the series and re-smooth only the tail window each new point perturbs,
+// and a one-shot universe drops its raw arena.
 func (u *Universe) Smooth(window int) {
 	if window <= 1 {
-		return
-	}
-	if u.raw == nil {
-		// Derived universes (e.g. time slices) have no arena; smooth the
-		// individual series the legacy way.
-		u.total = smoothSeries(u.total, window)
-		for _, c := range u.cands {
-			c.Series = smoothSeries(c.Series, window)
-		}
 		return
 	}
 	T := len(u.total)
@@ -120,20 +109,4 @@ func (u *Universe) Smooth(window int) {
 		}
 		u.arenaMapped = false
 	}
-}
-
-func smoothSeries(sc []relation.SumCount, window int) []relation.SumCount {
-	sums := make([]float64, len(sc))
-	counts := make([]float64, len(sc))
-	for i, s := range sc {
-		sums[i] = s.Sum
-		counts[i] = s.Count
-	}
-	sums = timeseries.MovingAverage(sums, window)
-	counts = timeseries.MovingAverage(counts, window)
-	out := make([]relation.SumCount, len(sc))
-	for i := range out {
-		out[i] = relation.SumCount{Sum: sums[i], Count: counts[i]}
-	}
-	return out
 }

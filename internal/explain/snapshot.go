@@ -12,10 +12,11 @@ import (
 // every explain-by subset); the snapshot persists exactly that output —
 // the candidate conjunctions and the candidate-major series arena — and
 // rebuilds the cheap derived state (candidate index, drill-down
-// adjacency, ancestor closure) in memory on load. Snapshots always hold
-// the RAW (pre-smoothing) arena: one snapshot therefore serves every
-// engine configuration (any smoothing window, optimized or vanilla), and
-// smoothing re-runs in O(candidates × T) on the restored arena.
+// adjacency, ancestor closure) in memory on load, linking each candidate
+// as a build does. Snapshots always hold the RAW (pre-smoothing) arena:
+// one snapshot therefore serves every engine configuration (any
+// smoothing window, optimized or vanilla), and smoothing re-runs in
+// O(candidates × T) on the restored arena.
 //
 // Snapshots are one-shot: a restored universe is not built for streaming
 // (the group-by plans are not persisted), so the streaming append path
@@ -65,9 +66,6 @@ func (u *Universe) EncodeSnapshot(sw *relation.SnapWriter) error {
 	if u.smooth != nil {
 		return fmt.Errorf("explain: cannot snapshot a smoothed universe (snapshot the raw build)")
 	}
-	if u.raw == nil {
-		return fmt.Errorf("explain: cannot snapshot a derived universe (no series arena)")
-	}
 	T := len(u.total)
 	layout := uint8(arenaCompact)
 	if u.ArenaSnapshotRaw() {
@@ -114,7 +112,7 @@ func (u *Universe) EncodeSnapshot(sw *relation.SnapWriter) error {
 // uses it to skip container compression (a compressed payload cannot be
 // mapped).
 func (u *Universe) ArenaSnapshotRaw() bool {
-	if u.raw == nil || u.smooth != nil {
+	if u.smooth != nil {
 		return false
 	}
 	return int64(len(u.cands))*int64(len(u.total))*16 >= ArenaSnapshotThreshold
@@ -185,16 +183,9 @@ func DecodeUniverseSnapshot(sr *relation.SnapReader, rel *relation.Relation, ali
 	}
 	T := rel.NumTimestamps()
 
-	u := &Universe{
-		rel:       rel,
-		agg:       agg,
-		measure:   m,
-		explainBy: explainBy,
-		maxOrder:  maxOrder,
-		rawTotal:  make([]relation.SumCount, T),
-		arenaCap:  T,
-		index:     newCandIndex(rel, maxOrder),
-	}
+	u := emptyUniverse(rel, agg, m, explainBy, maxOrder)
+	u.rawTotal = make([]relation.SumCount, T)
+	u.arenaCap = T
 	sr.SumCountsV2Into(u.rawTotal)
 	u.total = u.rawTotal
 
@@ -278,7 +269,7 @@ func DecodeUniverseSnapshot(sr *relation.SnapReader, rel *relation.Relation, ali
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
-	u.buildDerivedIndexes()
+	u.linkFrom(0)
 	return u, nil
 }
 

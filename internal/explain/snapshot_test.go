@@ -85,6 +85,17 @@ func TestUniverseSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	universesEquivalent(t, u, u2)
+	childrenAscend(t, "restored", u2)
+
+	// A taxonomy universe restores its roll-up edges, in order, too.
+	d := datasets.Taxonomy()
+	tu := newUniverse(t, d.Rel, Config{Measure: d.Measure, Agg: d.Agg, ExplainBy: d.ExplainBy, MaxOrder: d.MaxOrder})
+	tr, err := decodeUni(encodeUni(t, tu), d.Rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universesEquivalent(t, tu, tr)
+	childrenAscend(t, "restored taxonomy", tr)
 
 	// A restored universe must accept smoothing like a built one.
 	u2.Smooth(3)

@@ -2,13 +2,14 @@ package relation
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // This file implements the columnar, integer-keyed group-by kernel of the
 // precompute path.
 //
-// The kernel runs in two passes. Pass 1 (PlanGroupBy) scans the rows once,
+// The kernel runs in two passes. Pass 1 (PlanGroupBy over every row,
+// AppendRows over a delta; both run extend) scans the rows once,
 // packs each row's dictionary-id tuple over the requested dimensions into a
 // single uint64 and assigns dense group slots through a map[uint64]int32 —
 // no per-row heap allocation, no string hashing. Pass 2 (FillArena) scans the
@@ -16,7 +17,7 @@ import (
 // single contiguous []SumCount arena of size groups×T, instead of one
 // slice allocation per group.
 //
-// Splitting the passes lets a caller (explain.NewUniverse) plan many
+// Splitting the passes lets a caller (explain's universe growth) plan many
 // group-bys first, allocate ONE arena for all of them, and then fill the
 // disjoint arena ranges.
 //
@@ -44,10 +45,11 @@ type GroupByPlan struct {
 	perm     []int32  // slot -> sorted group index (rank)
 	rankSlot []int32  // rank -> slot (inverse of perm)
 
-	// rowSlot records each scanned row's slot during pass 1, so the first
-	// arena fill is a pure array walk with no key packing or hashing. It
-	// is released after that fill (O(rows) transient state); later fills —
-	// and the streaming append path — go through the slot maps as before.
+	// rowSlot records each row's slot during the plan's first extension,
+	// so the first arena fill is a pure array walk with no key packing or
+	// hashing. It is released after that fill (O(rows) transient state);
+	// later fills — and the streaming append path — key through the slot
+	// maps.
 	rowSlot []int32
 }
 
@@ -59,8 +61,8 @@ const directTableMaxBits = 22
 // PlanGroupBy runs pass 1 of the columnar group-by kernel over the given
 // dimensions for measure m: it discovers every distinct id combination and
 // assigns each a dense group index in canonical (id-tuple ascending)
-// order. The plan retains no per-row state, so holding many plans at once
-// costs O(groups), not O(rows).
+// order. The plan retains no per-row state beyond the slot record its
+// first fill releases, so holding many plans costs O(groups), not O(rows).
 func (r *Relation) PlanGroupBy(dims []int, m int) *GroupByPlan {
 	return r.planGroupBy(dims, m, false)
 }
@@ -80,96 +82,107 @@ func (r *Relation) planGroupBy(dims []int, m int, forceFallback bool) *GroupByPl
 		totalBits += w
 	}
 	p.packed = totalBits <= 64 && !forceFallback
-
-	p.rowSlot = make([]int32, r.numRows)
 	if p.packed {
 		p.slots = make(map[uint64]int32, 64)
-		// When the packed keyspace is small enough, slot discovery runs
-		// against a direct-address table instead of the map: one bounds-
-		// checked load per row. The map is still populated per distinct
-		// group (cheap — groups ≪ rows) because the streaming append path
-		// keys through it after the table is released.
-		if tableSize := 1 << totalBits; totalBits <= directTableMaxBits &&
-			(totalBits <= 16 || tableSize <= 8*r.numRows) {
-			table := make([]int32, tableSize)
-			for i := range table {
-				table[i] = -1
-			}
-			for row := 0; row < r.numRows; row++ {
-				k := p.rowKey(row)
-				s := table[k]
-				if s < 0 {
-					s = int32(len(p.slots))
-					table[k] = s
-					p.slots[k] = s
-					for _, d := range dims {
-						p.ids = append(p.ids, r.dims[d].ids[row])
-					}
-				}
-				p.rowSlot[row] = s
-			}
-		} else {
-			for row := 0; row < r.numRows; row++ {
-				k := p.rowKey(row)
-				s, ok := p.slots[k]
-				if !ok {
-					s = int32(len(p.slots))
-					p.slots[k] = s
-					for _, d := range dims {
-						p.ids = append(p.ids, r.dims[d].ids[row])
-					}
-				}
-				p.rowSlot[row] = s
-			}
-		}
 	} else {
 		p.sslots = make(map[string]int32, 64)
-		buf := make([]byte, 0, len(dims)*4)
-		for row := 0; row < r.numRows; row++ {
-			buf = p.rowFallbackKey(buf, row)
-			s, ok := p.sslots[string(buf)]
-			if !ok {
-				s = int32(len(p.sslots))
-				p.sslots[string(buf)] = s
-				for _, d := range dims {
-					p.ids = append(p.ids, r.dims[d].ids[row])
-				}
+	}
+	p.extend(0)
+	return p
+}
+
+// extend discovers the groups first occurring in rows [fromRow, NumRows)
+// and ranks them after every existing group, ordered by id tuple among
+// themselves, so existing ranks — and the candidate IDs built on them —
+// stay put and no rank depends on row order. It returns the number of
+// groups added. A plan's first extension records each row's slot for
+// FillArena and, when the packed keyspace is small enough, discovers
+// slots through a direct-address table: one bounds-checked load per row.
+// The map is still populated per distinct group (cheap — groups ≪ rows)
+// because later extensions and fills key through it.
+func (p *GroupByPlan) extend(fromRow int) int {
+	r := p.r
+	oldN := p.n
+	if oldN == 0 {
+		p.rowSlot = make([]int32, r.numRows)
+	}
+	var totalBits uint
+	for _, w := range p.shifts {
+		totalBits += w
+	}
+	switch tableSize := 1 << totalBits; {
+	case p.packed && oldN == 0 && totalBits <= directTableMaxBits &&
+		(totalBits <= 16 || tableSize <= 8*r.numRows):
+		table := make([]int32, tableSize)
+		for i := range table {
+			table[i] = -1
+		}
+		for row := fromRow; row < r.numRows; row++ {
+			k := p.rowKey(row)
+			s := table[k]
+			if s < 0 {
+				s = p.addGroup(row)
+				table[k] = s
+				p.slots[k] = s
 			}
 			p.rowSlot[row] = s
 		}
-	}
-
-	if p.packed {
-		p.n = len(p.slots)
-	} else {
-		p.n = len(p.sslots)
-	}
-
-	// Sort groups by id tuple so downstream candidate IDs are assigned
-	// deterministically regardless of row order. An empty dims list
-	// degenerates to at most one grand-total group.
-	n := p.n
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	d := len(dims)
-	sort.Slice(order, func(a, b int) bool {
-		ta := p.ids[int(order[a])*d : int(order[a])*d+d]
-		tb := p.ids[int(order[b])*d : int(order[b])*d+d]
-		for i := 0; i < d; i++ {
-			if ta[i] != tb[i] {
-				return ta[i] < tb[i]
+	case p.packed:
+		for row := fromRow; row < r.numRows; row++ {
+			k := p.rowKey(row)
+			s, ok := p.slots[k]
+			if !ok {
+				s = p.addGroup(row)
+				p.slots[k] = s
+			}
+			if oldN == 0 {
+				p.rowSlot[row] = s
 			}
 		}
-		return false
-	})
-	p.perm = make([]int32, n)
-	p.rankSlot = order
-	for rank, slot := range order {
-		p.perm[slot] = int32(rank)
+	default:
+		buf := make([]byte, 0, len(p.dims)*4)
+		for row := fromRow; row < r.numRows; row++ {
+			buf = p.rowFallbackKey(buf, row)
+			s, ok := p.sslots[string(buf)]
+			if !ok {
+				s = p.addGroup(row)
+				p.sslots[string(buf)] = s
+			}
+			if oldN == 0 {
+				p.rowSlot[row] = s
+			}
+		}
 	}
-	return p
+
+	added := p.n - oldN
+	p.rankSlot = append(p.rankSlot, make([]int32, added)...)
+	order := p.rankSlot[oldN:]
+	for i := range order {
+		order[i] = int32(oldN + i)
+	}
+	slices.SortFunc(order, p.compareTuples)
+	p.perm = append(p.perm, make([]int32, added)...)
+	for i, slot := range order {
+		p.perm[slot] = int32(oldN + i)
+	}
+	return added
+}
+
+// addGroup gives the group of the row the next slot and records its id
+// tuple.
+func (p *GroupByPlan) addGroup(row int) int32 {
+	for _, d := range p.dims {
+		p.ids = append(p.ids, p.r.dims[d].ids[row])
+	}
+	p.n++
+	return int32(p.n - 1)
+}
+
+// compareTuples orders two slots by their id tuples, the canonical group
+// order.
+func (p *GroupByPlan) compareTuples(a, b int32) int {
+	d := len(p.dims)
+	return slices.Compare(p.ids[int(a)*d:int(a)*d+d], p.ids[int(b)*d:int(b)*d+d])
 }
 
 // GroupIDsAt returns the id tuple of the group with the given rank,
@@ -269,60 +282,8 @@ func (p *GroupByPlan) ensureKeyCapacity() {
 // themselves, so existing ranks — and therefore the candidate IDs built on
 // them — stay stable. It returns the number of groups added.
 func (p *GroupByPlan) AppendRows(fromRow int) int {
-	r := p.r
 	p.ensureKeyCapacity()
-	oldN := p.n
-	if p.packed {
-		for row := fromRow; row < r.numRows; row++ {
-			k := p.rowKey(row)
-			if _, ok := p.slots[k]; !ok {
-				p.slots[k] = int32(len(p.slots))
-				for _, d := range p.dims {
-					p.ids = append(p.ids, r.dims[d].ids[row])
-				}
-			}
-		}
-		p.n = len(p.slots)
-	} else {
-		buf := make([]byte, 0, len(p.dims)*4)
-		for row := fromRow; row < r.numRows; row++ {
-			buf = p.rowFallbackKey(buf, row)
-			if _, ok := p.sslots[string(buf)]; !ok {
-				p.sslots[string(buf)] = int32(len(p.sslots))
-				for _, d := range p.dims {
-					p.ids = append(p.ids, r.dims[d].ids[row])
-				}
-			}
-		}
-		p.n = len(p.sslots)
-	}
-	added := p.n - oldN
-	if added == 0 {
-		return 0
-	}
-	// Order the delta's new groups among themselves by id tuple (the same
-	// canonical order the initial plan uses), after all existing ranks.
-	d := len(p.dims)
-	order := make([]int32, added)
-	for i := range order {
-		order[i] = int32(oldN + i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ta := p.ids[int(order[a])*d : int(order[a])*d+d]
-		tb := p.ids[int(order[b])*d : int(order[b])*d+d]
-		for i := 0; i < d; i++ {
-			if ta[i] != tb[i] {
-				return ta[i] < tb[i]
-			}
-		}
-		return false
-	})
-	p.perm = append(p.perm, make([]int32, added)...)
-	for i, slot := range order {
-		p.perm[slot] = int32(oldN + i)
-	}
-	p.rankSlot = append(p.rankSlot, order...)
-	return added
+	return p.extend(fromRow)
 }
 
 // FillRows accumulates the relation rows [fromRow, NumRows) into
@@ -385,40 +346,32 @@ func (p *GroupByPlan) FillArena(arena []SumCount, stride int) {
 	if stride < T || len(arena) < (p.NumGroups()-1)*stride+T {
 		panic("relation: GroupByPlan.FillArena arena too small for stride")
 	}
-	vals := r.measures[p.m].vals
-	// The common one-shot flow (plan, then fill once) takes the recorded-
-	// slot path: no key packing, no hashing — three indexed loads and one
-	// accumulate per row. The record is released afterwards so holding a
-	// plan stays O(groups); any later fill re-derives slots from the maps,
-	// producing identical output (same rows, same accumulation order).
-	if rowSlot := p.rowSlot; rowSlot != nil && len(rowSlot) == r.numRows {
-		perm, timeIdx := p.perm, r.timeIdx
-		for row := 0; row < r.numRows; row++ {
-			g := perm[rowSlot[row]]
-			sc := &arena[int(g)*stride+int(timeIdx[row])]
-			sc.Sum += vals[row]
-			sc.Count++
-		}
-		p.rowSlot = nil
+	// The first fill after planning walks the recorded slots: no key
+	// packing, no hashing — three indexed loads and one accumulate per
+	// row. The record is released afterwards so holding a plan stays
+	// O(groups).
+	rowSlot := p.rowSlot
+	if len(rowSlot) != r.numRows {
+		p.refill(arena, stride)
 		return
 	}
-	if p.packed {
-		for row := 0; row < r.numRows; row++ {
-			g := p.perm[p.slots[p.rowKey(row)]]
-			sc := &arena[int(g)*stride+int(r.timeIdx[row])]
-			sc.Sum += vals[row]
-			sc.Count++
-		}
-	} else {
-		buf := make([]byte, 0, len(p.dims)*4)
-		for row := 0; row < r.numRows; row++ {
-			buf = p.rowFallbackKey(buf, row)
-			g := p.perm[p.sslots[string(buf)]]
-			sc := &arena[int(g)*stride+int(r.timeIdx[row])]
-			sc.Sum += vals[row]
-			sc.Count++
-		}
+	vals := r.measures[p.m].vals
+	perm, timeIdx := p.perm, r.timeIdx
+	for row := 0; row < r.numRows; row++ {
+		g := perm[rowSlot[row]]
+		sc := &arena[int(g)*stride+int(timeIdx[row])]
+		sc.Sum += vals[row]
+		sc.Count++
 	}
+	p.rowSlot = nil
+}
+
+// refill is FillArena for a plan whose slot record is gone: every row's
+// slot is re-derived from the key maps through FillRows, with the same
+// rows in the same accumulation order.
+func (p *GroupByPlan) refill(arena []SumCount, stride int) {
+	T := p.r.NumTimestamps()
+	p.FillRows(0, func(rank int) []SumCount { return arena[rank*stride : rank*stride+T] })
 }
 
 // bitsFor returns the number of bits needed to store ids 0..card-1.

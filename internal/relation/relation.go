@@ -341,19 +341,6 @@ func (b *Builder) Finish() (*Relation, error) {
 	return r, nil
 }
 
-// timePosition resolves a label to its series position, rebuilding the
-// reverse index if the relation predates it (older construction paths).
-func (r *Relation) timePosition(label string) (int32, bool) {
-	if r.timePos == nil {
-		r.timePos = make(map[string]int32, len(r.timeLabels))
-		for i, l := range r.timeLabels {
-			r.timePos[l] = int32(i)
-		}
-	}
-	p, ok := r.timePos[label]
-	return p, ok
-}
-
 // AppendRows extends the relation in place with rows at the tail of the
 // series: every row's time label must resolve to the current last
 // timestamp (late records revising the most recent point) or to a new
@@ -410,7 +397,7 @@ func (r *Relation) AppendRows(timeVals []string, dims [][]string, measures [][]f
 	staged := make(map[string]int32)
 	var newLabels []string
 	for i, l := range timeVals {
-		pos, ok := r.timePosition(l)
+		pos, ok := r.timePos[l]
 		if !ok {
 			pos, ok = staged[l]
 			if !ok {
@@ -432,7 +419,7 @@ func (r *Relation) AppendRows(timeVals []string, dims [][]string, measures [][]f
 		r.timeLabels = append(r.timeLabels, l)
 	}
 	for i := range timeVals {
-		pos, _ := r.timePosition(timeVals[i])
+		pos := r.timePos[timeVals[i]]
 		r.timeIdx = append(r.timeIdx, pos)
 		for di, col := range r.dims {
 			col.ids = append(col.ids, col.intern(dims[i][di]))

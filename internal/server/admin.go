@@ -145,11 +145,11 @@ func readManifestPart(part *multipart.Part) (*catalog.Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if isReservedDatasetName(m.Name) {
+	if isBuiltinDataset(m.Name) {
 		return nil, fmt.Errorf("dataset name %q is reserved by a built-in dataset", m.Name)
 	}
 	for _, a := range m.Aliases {
-		if isReservedDatasetName(a) {
+		if isBuiltinDataset(a) {
 			return nil, fmt.Errorf("alias %q is reserved by a built-in dataset", a)
 		}
 	}
@@ -185,7 +185,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	if isReservedDatasetName(name) {
+	if isBuiltinDataset(name) {
 		writeError(w, httpErrf(http.StatusBadRequest, "built-in dataset %q cannot be deleted", name))
 		return
 	}
@@ -229,7 +229,7 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	canon, ok := s.reg.cat.Resolve(name)
 	if !ok {
-		if isReservedDatasetName(name) {
+		if isBuiltinDataset(name) {
 			writeError(w, httpErrf(http.StatusBadRequest, "built-in dataset %q does not accept appends", name))
 			return
 		}

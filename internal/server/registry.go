@@ -304,8 +304,8 @@ func (g *registry) defaultSmooth(name string) int {
 // otherwise every restart would parse the CSV again until the dataset's
 // next upload or append.
 func (g *registry) loadDataset(name string) (*datasets.Dataset, error) {
-	if isBuiltinDataset(name) {
-		return demoDataset(name)
+	if _, gen, ok := datasets.Builtin(name); ok {
+		return gen(), nil
 	}
 	if g.cat == nil {
 		return nil, httpErrf(http.StatusNotFound, "unknown dataset %q", name)

@@ -362,34 +362,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client left; nothing to answer
 }
 
-// builtinNames lists the compiled-in demo datasets.
-var builtinNames = []string{"covid", "covid-daily", "sp500", "liquor", "vax-deaths", "stream"}
-
-// builtinAliases maps alternative request names for built-in datasets to
-// their canonical name, so every alias shares one cache key and one
-// pooled engine ("covid-total" used to be cached — and computed —
-// separately from "covid"). Catalog datasets declare their aliases in
-// their manifests instead of here; both kinds resolve through
-// Server.resolveDataset before any cache key is formed.
-var builtinAliases = map[string]string{"covid-total": "covid"}
-
+// isBuiltinDataset reports whether name is a built-in dataset's name or
+// alias. A catalog upload may not claim such a name, so built-in names and
+// their aliases stay routable to the built-ins; an alias shares its
+// target's cache key and pooled engine because Server.resolveDataset
+// canonicalizes it before any key is formed.
 func isBuiltinDataset(name string) bool {
-	for _, n := range builtinNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// isReservedDatasetName reports whether a catalog upload may not claim
-// the name (built-in names and their aliases stay routable to the
-// built-ins).
-func isReservedDatasetName(name string) bool {
-	if isBuiltinDataset(name) {
-		return true
-	}
-	_, ok := builtinAliases[name]
+	_, _, ok := datasets.Builtin(name)
 	return ok
 }
 
@@ -402,11 +381,8 @@ func (s *Server) resolveDataset(raw string) (string, error) {
 	if raw == "" {
 		return "covid", nil
 	}
-	if canon, ok := builtinAliases[raw]; ok {
+	if canon, _, ok := datasets.Builtin(raw); ok {
 		return canon, nil
-	}
-	if isBuiltinDataset(raw) {
-		return raw, nil
 	}
 	if s.reg.cat != nil {
 		if canon, ok := s.reg.cat.Resolve(raw); ok {
@@ -414,25 +390,6 @@ func (s *Server) resolveDataset(raw string) (string, error) {
 		}
 	}
 	return "", httpErrf(http.StatusNotFound, "unknown dataset %q", raw)
-}
-
-func demoDataset(name string) (*datasets.Dataset, error) {
-	switch name {
-	case "covid":
-		return datasets.CovidTotal(), nil
-	case "covid-daily":
-		return datasets.CovidDaily(), nil
-	case "sp500":
-		return datasets.SP500(), nil
-	case "liquor":
-		return datasets.Liquor(), nil
-	case "vax-deaths":
-		return datasets.VaxDeaths(), nil
-	case "stream":
-		return datasets.Stream(datasets.StreamDays), nil
-	default:
-		return nil, httpErrf(http.StatusNotFound, "unknown dataset %q", name)
-	}
 }
 
 // params decodes the shared query parameters. dataset is always in
@@ -625,7 +582,8 @@ func (p params) options(d *datasets.Dataset) core.Options {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	names := append([]string(nil), builtinNames...)
+	builtin := datasets.BuiltinNames()
+	names := append([]string(nil), builtin...)
 	catalogNames := []string{}
 	if s.reg.cat != nil {
 		catalogNames = s.reg.cat.Names()
@@ -633,7 +591,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"datasets": names,
-		"builtin":  builtinNames,
+		"builtin":  builtin,
 		"catalog":  catalogNames,
 	})
 }
