@@ -12,7 +12,6 @@ import (
 	"io"
 	"testing"
 
-	tsexplain "repro"
 	"repro/internal/baseline"
 	"repro/internal/cascading"
 	"repro/internal/core"
@@ -526,24 +525,6 @@ func BenchmarkDistancePercent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		evalmetrics.DistancePercent(got, truth, 100)
-	}
-}
-
-func BenchmarkIncrementalUpdate(b *testing.B) {
-	d, err := synth.Generate(synth.Params{Seed: 9, SNRdB: 40, N: 400, MinSegLen: 25})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := tsexplain.Query{Measure: "sales", Agg: tsexplain.Sum}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inc, _, err := tsexplain.NewIncremental(d.Rel, q, tsexplain.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := inc.Update(d.Rel); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

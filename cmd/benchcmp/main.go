@@ -15,7 +15,7 @@
 // Engine mode compares ns/op and allocs/op per benchmark (taking the
 // minimum across -count repetitions, so noisy runs only help); streaming
 // mode compares the append path's total and later-half latency plus the
-// append-vs-rebuild speedup; catalog mode compares per-dataset snapshot
+// append-vs-fresh-build speedup; catalog mode compares per-dataset snapshot
 // restore latency and the restore-vs-rebuild speedup (warm restarts must
 // stay warm), plus — with -max-snapshot-csv-ratio — the absolute on-disk
 // footprint contract (snapshot ≤ that fraction of the source CSV); engine
@@ -253,9 +253,10 @@ func compareEngine(baselinePath, currentPath string, maxLatency, maxAllocs, maxU
 
 // compareStreaming gates the O(delta) append path: total and later-half
 // append latency must stay within the latency threshold, and the
-// append-vs-rebuild speedup must not collapse (losing more than the
-// latency threshold's worth of its baseline value indicates the append
-// path degraded toward the rebuild path).
+// append-vs-rebuild speedup — the rebuild being a fresh engine built and
+// explained over the same snapshot — must not collapse (losing more than
+// the latency threshold's worth of its baseline value indicates the
+// append path degraded toward the rebuild path).
 func compareStreaming(baselinePath, currentPath string, maxLatency float64) ([]string, error) {
 	var base, cur StreamReport
 	if err := load(baselinePath, &base); err != nil {

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -78,6 +79,18 @@ func TestManifestValidation(t *testing.T) {
 	}
 	if _, err := ParseManifest([]byte(`{"name":"x","timecolumn":"date"}`)); err == nil {
 		t.Error("unknown manifest field accepted")
+	}
+	doc, err := json.Marshal(testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseManifest(append(doc, " \n"...)); err != nil {
+		t.Errorf("manifest followed by whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{` {"x":1}`, ` {}`, "x", "]"} {
+		if _, err := ParseManifest(append(doc, tail...)); err == nil {
+			t.Errorf("manifest followed by %q accepted", tail)
+		}
 	}
 }
 

@@ -31,6 +31,8 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add(`{"name":"ov","timeCol":"t","dimCols":["a","b","c"],"measureCol":"m","hierarchies":[{"name":"h1","levels":["a","b"]},{"name":"h2","levels":["b","c"]}]}`)
 	f.Add(`{"name":"nb","timeCol":"t","dimCols":["a"],"measureCol":"m","rangeBins":[{"column":"price","bins":1}]}`)
 	f.Add(`{"name":"cl","timeCol":"t","dimCols":["a"],"measureCol":"m","rangeBins":[{"column":"price","as":"a"}]}`)
+	// A valid document followed by a second one.
+	f.Add(`{"name":"sales","timeCol":"day","dimCols":["state"],"measureCol":"value"} {"x":1}`)
 
 	f.Fuzz(func(t *testing.T, data string) {
 		m, err := ParseManifest([]byte(data))

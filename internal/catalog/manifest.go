@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"regexp"
 
 	"repro/internal/relation"
@@ -137,13 +138,17 @@ func ValidName(s string) bool { return nameRE.MatchString(s) }
 
 // ParseManifest decodes and validates a manifest document. Unknown JSON
 // fields are rejected so a typoed field name ("measure" for "measureCol")
-// fails the upload instead of silently applying a default.
+// fails the upload instead of silently applying a default, and so is
+// anything but whitespace after the document.
 func ParseManifest(data []byte) (Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return m, fmt.Errorf("catalog: parsing manifest: %w", err)
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return m, fmt.Errorf("catalog: parsing manifest: data after the document")
 	}
 	if err := m.Validate(); err != nil {
 		return m, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -84,11 +83,9 @@ type approxState struct {
 	eligible int // candidates passing the support filter
 	m        int // current kept-candidate budget
 	m0       int // initial (coarse) budget, the anytime ramp's restart point
-	// Installed selection (ids ascending, bitmap mirrors ids) and its
-	// pruning threshold.
-	ids     []int
-	allowed []bool
-	theta   float64
+	// Installed selection (ids ascending) and its pruning threshold.
+	ids   []int
+	theta float64
 	// installedM tracks which budget the explainer currently has
 	// installed, so unchanged rounds skip the cache-dropping reinstall.
 	installedM int
@@ -219,24 +216,9 @@ func (e *Engine) installApprox(a *approxState) {
 			a.theta = a.bounds[a.order[a.m]]
 		}
 	}
-	a.allowed = make([]bool, e.u.NumCandidates())
-	for _, id := range a.ids {
-		a.allowed[id] = true
-	}
-	e.exp.SetRestriction(a.allowed, a.ids)
+	e.exp.SetRestriction(a.ids)
 	e.vc = nil
 	a.installedM = a.m
-}
-
-// explainApproxK is the approximate counterpart of explainExactK: solve
-// under the pruned candidate set, annotate the result with its error
-// bounds and residuals, and refine (doubling the candidate budget) until
-// the bound meets Epsilon or a budget runs out. A deadline that expires
-// mid-refinement returns the best completed round instead of an error —
-// the serving layer degrades to a coarser answer rather than shedding
-// the request.
-func (e *Engine) explainApproxK(ctx context.Context, positions []int, fixedK int) (*Result, error) {
-	return e.runApproxRounds(ctx, positions, fixedK, false, nil)
 }
 
 // annotateApprox attaches the per-segment error bounds and residual

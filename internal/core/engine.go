@@ -245,20 +245,10 @@ type Engine struct {
 	precompute time.Duration
 }
 
-// engineConfig selects construction variants shared by the public
-// constructors: whether to build the per-segment explanation cache (the
-// incremental snapshot path attaches an existing one instead, so building
-// a throwaway here would be pure waste) and whether the universe should
-// retain its append-path state.
-type engineConfig struct {
-	explainer bool
-	streaming bool
-}
-
 // NewEngine builds the engine: it enumerates candidate explanations,
 // precomputes their series, applies smoothing and the support filter.
 func NewEngine(rel *relation.Relation, q Query, opts Options) (*Engine, error) {
-	return newEngine(nil, rel, q, opts, engineConfig{explainer: true})
+	return newEngine(nil, rel, q, opts, false)
 }
 
 // NewEngineCtx is NewEngine with a cancellation context: candidate
@@ -266,7 +256,7 @@ func NewEngine(rel *relation.Relation, q Query, opts Options) (*Engine, error) {
 // when it is cancelled, so a request deadline bounds the expensive
 // universe build instead of letting it run to completion.
 func NewEngineCtx(ctx context.Context, rel *relation.Relation, q Query, opts Options) (*Engine, error) {
-	return newEngine(ctx, rel, q, opts, engineConfig{explainer: true})
+	return newEngine(ctx, rel, q, opts, false)
 }
 
 // ctxCancelFunc adapts a context into the polling hook the lower layers
@@ -278,7 +268,9 @@ func ctxCancelFunc(ctx context.Context) func() error {
 	return ctx.Err
 }
 
-func newEngine(ctx context.Context, rel *relation.Relation, q Query, opts Options, cfg engineConfig) (*Engine, error) {
+// newEngine builds the universe and finishes the engine; streaming keeps
+// the universe's append-path state for Incremental.
+func newEngine(ctx context.Context, rel *relation.Relation, q Query, opts Options, streaming bool) (*Engine, error) {
 	opts.setDefaults()
 	start := time.Now()
 	u, err := explain.NewUniverse(rel, explain.Config{
@@ -286,13 +278,13 @@ func newEngine(ctx context.Context, rel *relation.Relation, q Query, opts Option
 		Agg:       q.Agg,
 		ExplainBy: q.ExplainBy,
 		MaxOrder:  opts.MaxOrder,
-		Streaming: cfg.streaming,
+		Streaming: streaming,
 		Cancel:    ctxCancelFunc(ctx),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return finishEngine(u, rel, q, opts, cfg, start)
+	return finishEngine(u, rel, q, opts, start)
 }
 
 // NewEngineFromUniverse builds an engine around an already materialized
@@ -346,44 +338,90 @@ func NewEngineFromUniverse(u *explain.Universe, q Query, opts Options) (*Engine,
 	if u.MaxOrder() != wantOrder {
 		return nil, fmt.Errorf("core: universe order threshold %d, query wants %d", u.MaxOrder(), wantOrder)
 	}
-	return finishEngine(u, rel, q, opts, engineConfig{explainer: true}, start)
+	return finishEngine(u, rel, q, opts, start)
 }
 
 // finishEngine runs everything after universe materialization — the tail
 // of the precompute module (smoothing, support filter) plus explainer
 // construction — shared by the from-relation constructors and the
 // from-snapshot path.
-func finishEngine(u *explain.Universe, rel *relation.Relation, q Query, opts Options, cfg engineConfig, start time.Time) (*Engine, error) {
+func finishEngine(u *explain.Universe, rel *relation.Relation, q Query, opts Options, start time.Time) (*Engine, error) {
 	if opts.SmoothWindow > 1 {
 		u.Smooth(opts.SmoothWindow)
 	}
-	e := &Engine{rel: rel, query: q, opts: opts, u: u, filtered: u.NumCandidates()}
-	if opts.FilterRatio > 0 {
-		totals := u.TotalValues()
-		n := u.NumCandidates()
-		e.allowed = make([]bool, n)
-		e.firstKeep = make([]int, n)
-		e.filtered = 0
-		for id := 0; id < n; id++ {
-			fk := u.FirstQualifying(id, 0, opts.FilterRatio, totals)
-			e.firstKeep[id] = fk
-			if fk >= 0 {
-				e.allowed[id] = true
-				e.filtered++
-			}
-		}
-	}
-	if cfg.explainer {
-		e.exp = segment.NewExplainer(u, segment.ExplainerConfig{
-			M:              opts.M,
-			Metric:         opts.Metric,
-			Allowed:        e.allowed,
-			UseGuessVerify: opts.UseGuessVerify,
-			GuessInit:      opts.GuessInit,
-		})
-	}
+	e := &Engine{rel: rel, query: q, opts: opts, u: u}
+	e.refreshFilter(0)
+	e.exp = segment.NewExplainer(u, segment.ExplainerConfig{
+		M:              opts.M,
+		Metric:         opts.Metric,
+		Allowed:        e.allowed,
+		UseGuessVerify: opts.UseGuessVerify,
+		GuessInit:      opts.GuessInit,
+	})
 	e.precompute = time.Since(start)
 	return e, nil
+}
+
+// refreshFilter is the support-filter pass a fresh build runs from 0 and
+// an append runs from the first position the append changed. It grows
+// firstKeep and allowed to the candidate count, rescans from that
+// position every candidate not known to qualify before it, and recounts
+// the survivors. It returns the first position with mass of an existing
+// candidate whose filter status flipped, or from when none flipped
+// before it.
+func (e *Engine) refreshFilter(from int) int {
+	nc := e.u.NumCandidates()
+	if e.opts.FilterRatio <= 0 {
+		e.filtered = nc
+		return from
+	}
+	old := len(e.firstKeep)
+	// allowed stays non-nil even over no candidates: nil would admit every
+	// candidate a later append registers.
+	if e.allowed == nil || nc > old {
+		firstKeep := make([]int, nc)
+		copy(firstKeep, e.firstKeep)
+		for id := old; id < nc; id++ {
+			firstKeep[id] = -1
+		}
+		allowed := make([]bool, nc)
+		copy(allowed, e.allowed)
+		e.firstKeep, e.allowed = firstKeep, allowed
+	}
+	totals := e.u.TotalValues()
+	e.filtered = 0
+	flipped := from
+	for id := 0; id < nc; id++ {
+		fk := e.firstKeep[id]
+		if fk < 0 || fk >= from {
+			fk = e.u.FirstQualifying(id, from, e.opts.FilterRatio, totals)
+			e.firstKeep[id] = fk
+		}
+		keep := fk >= 0
+		// A candidate crossing the support threshold (either way)
+		// invalidates cached explanations — segments solved under the old
+		// selectable set may rank differently now — but only from its
+		// first position with any mass: while its series is zero its γ is
+		// zero at every segment endpoint, so it can neither be selected
+		// nor change what was. A slice born in a recent delta (FL
+		// appearing mid-stream) that crosses the threshold later therefore
+		// invalidates only from its birth, and the usual case — no flip at
+		// all — invalidates nothing extra.
+		if id < old && e.allowed[id] != keep {
+			series := e.u.Candidate(id).Series
+			for t := 0; t < flipped; t++ {
+				if series[t] != (relation.SumCount{}) {
+					flipped = t
+					break
+				}
+			}
+		}
+		e.allowed[id] = keep
+		if keep {
+			e.filtered++
+		}
+	}
+	return flipped
 }
 
 // ingestAppended consumes relation rows appended (via Relation.AppendRows)
@@ -399,68 +437,19 @@ func (e *Engine) ingestAppended() (explain.AppendInfo, error) {
 		return info, err
 	}
 	seriesFrom := info.ChangedFrom
-	nc := e.u.NumCandidates()
-	if e.opts.FilterRatio > 0 {
-		totals := e.u.TotalValues()
-		oldCands := len(e.firstKeep)
-		for id := oldCands; id < nc; id++ {
-			e.firstKeep = append(e.firstKeep, -1)
-		}
-		if len(e.allowed) < nc {
-			grown := make([]bool, nc)
-			copy(grown, e.allowed)
-			e.allowed = grown
-		}
-		e.filtered = 0
-		flippedFrom := info.NewTimestamps
-		for id := 0; id < nc; id++ {
-			fk := e.firstKeep[id]
-			if fk < 0 || fk >= info.ChangedFrom {
-				fk = e.u.FirstQualifying(id, info.ChangedFrom, e.opts.FilterRatio, totals)
-				e.firstKeep[id] = fk
-			}
-			keep := fk >= 0
-			// A candidate crossing the support threshold (either way)
-			// invalidates cached explanations — segments solved under the
-			// old selectable set may rank differently now — but only from
-			// its first position with any mass: while its series is zero
-			// its γ is zero at every segment endpoint, so it can neither
-			// be selected nor change what was. A slice born in a recent
-			// delta (FL appearing mid-stream) that crosses the threshold
-			// later therefore invalidates only from its birth, and the
-			// usual case — no flip at all — invalidates nothing extra.
-			if id < oldCands && e.allowed[id] != keep {
-				series := e.u.Candidate(id).Series
-				for t := 0; t < info.ChangedFrom && t < flippedFrom; t++ {
-					if series[t] != (relation.SumCount{}) {
-						flippedFrom = t
-						break
-					}
-				}
-			}
-			e.allowed[id] = keep
-			if keep {
-				e.filtered++
-			}
-		}
-		if flippedFrom < info.ChangedFrom {
-			info.ChangedFrom = flippedFrom
-		}
-	} else {
-		e.filtered = nc
-	}
-	// Same universe: caches grow and remap nothing; the score table
-	// rewrites just the rows the append changed, unless the survivor set
-	// flipped.
-	e.exp.Appended(e.allowed, seriesFrom)
+	info.ChangedFrom = e.refreshFilter(info.ChangedFrom)
 	if e.approx != nil {
 		// Appended data shifts the contribution bounds, so the pruned
 		// selection is stale: clear the restriction (dropping caches
-		// solved under it) and let the next approximate explain re-rank.
+		// solved under it) before the explainer refreshes, so it refreshes
+		// the filter's set, and let the next approximate explain re-rank.
 		e.approx = nil
-		e.exp.SetRestriction(e.allowed, nil)
+		e.exp.SetRestriction(nil)
 		e.vc = nil
 	}
+	// Caches grow in place; the score table rewrites just the rows the
+	// append changed, unless the survivor set flipped.
+	e.exp.Appended(e.allowed, seriesFrom)
 	e.precompute = time.Since(start)
 	return info, nil
 }
@@ -528,7 +517,7 @@ func (e *Engine) ArenaMapped() bool { return e.u.ArenaMapped() }
 
 // Explain runs the full pipeline and reports the evolving explanations.
 func (e *Engine) Explain() (*Result, error) {
-	return e.explainWithPositions(nil)
+	return e.explainPositionsK(nil, nil, e.opts.K)
 }
 
 // ExplainWithKCtx runs the full pipeline with the given segment-count
@@ -544,19 +533,18 @@ func (e *Engine) ExplainWithKCtx(ctx context.Context, k int) (*Result, error) {
 	return e.explainPositionsK(ctx, nil, k)
 }
 
-// explainWithPositions runs segmentation restricted to the given cut
-// positions (nil means engine-managed: all positions, or the sketch when
-// O2 is on).
-func (e *Engine) explainWithPositions(positions []int) (*Result, error) {
-	return e.explainPositionsK(nil, positions, e.opts.K)
-}
-
-// explainPositionsK routes one explain to the exact pipeline or, under
-// Options.Approx, the anytime approximate path (which runs the exact
-// pipeline against a pruned candidate set and annotates error bounds).
+// explainPositionsK routes one explain, with segmentation restricted to
+// the given cut positions (nil means engine-managed: all positions, or
+// the sketch when O2 is on), to the exact pipeline or, under
+// Options.Approx, the anytime approximate path: it runs the exact
+// pipeline against a pruned candidate set, annotates error bounds, and
+// refines until the bound meets Epsilon or a budget runs out. A deadline
+// that expires mid-refinement returns the best completed round instead
+// of an error — the serving layer degrades to a coarser answer rather
+// than shedding the request.
 func (e *Engine) explainPositionsK(ctx context.Context, positions []int, fixedK int) (*Result, error) {
 	if e.opts.Approx.Enabled {
-		return e.explainApproxK(ctx, positions, fixedK)
+		return e.runApproxRounds(ctx, positions, fixedK, false, nil)
 	}
 	return e.explainExactK(ctx, positions, fixedK)
 }

@@ -436,7 +436,7 @@ func TestIncrementalMatchesBatchOnAppend(t *testing.T) {
 	if first.K < 2 {
 		t.Fatalf("initial K = %d", first.K)
 	}
-	res, err := inc.Update(full)
+	res, err := inc.AppendRows(full.RowBatch(full.RowsByTime(), 45, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,35 +456,6 @@ func TestIncrementalMatchesBatchOnAppend(t *testing.T) {
 	}
 	if !found20 || !found40 {
 		t.Errorf("incremental cuts %v miss the ground truth {20, 40}", cuts)
-	}
-}
-
-func TestIncrementalRejectsRewrittenHistory(t *testing.T) {
-	full := threePhase(t, 30, []int{15})
-	prefix := sliceRelation(t, full, 20)
-	q := Query{Measure: "v", Agg: relation.Sum}
-	inc, _, err := NewIncremental(full, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.Update(prefix); err == nil {
-		t.Error("shrinking snapshot: want error")
-	}
-	// A snapshot with different labels must be rejected.
-	other := threePhase(t, 30, []int{15})
-	_ = other
-	b := relation.NewBuilder("x", "zzz", []string{"category"}, []string{"v"})
-	_ = b.Append("x0", []string{"a"}, []float64{1})
-	_ = b.Append("x1", []string{"a"}, []float64{2})
-	for i := 2; i < 35; i++ {
-		_ = b.Append(fmt.Sprintf("x%02d", i), []string{"a"}, []float64{float64(i)})
-	}
-	weird, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.Update(weird); err == nil {
-		t.Error("mismatched labels: want error")
 	}
 }
 

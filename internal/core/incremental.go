@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/relation"
@@ -15,18 +14,12 @@ import (
 // segmentation restricted to the previous cutting points plus the newly
 // arrived positions.
 //
-// Append and AppendRows are the true streaming path: the delta flows
-// through Relation.AppendRows into Universe.Append, extending every
-// candidate's series inside the shared arena and registering candidates
-// that first appear in the delta at the tail, so per-update cost scales
-// with the delta, not with history. Update remains as a compatibility
-// wrapper for callers that re-materialize full snapshots; it rebuilds the
-// universe (linear in total history) but still reuses the expensive
-// per-segment explanation cache.
+// AppendRows is the streaming path: the delta flows through
+// Relation.AppendRows into Universe.Append, extending every candidate's
+// series inside the shared arena and registering candidates that first
+// appear in the delta at the tail, so per-update cost scales with the
+// delta, not with history.
 type Incremental struct {
-	query Query
-	opts  Options
-
 	eng      *Engine
 	lastCuts []int
 	lastN    int
@@ -34,8 +27,8 @@ type Incremental struct {
 
 // NewIncremental builds the incremental explainer over the initial
 // relation snapshot and produces the first result. The relation is
-// retained and extended in place by AppendRows/Append; it must not be
-// mutated elsewhere afterwards.
+// retained and extended in place by AppendRows; it must not be mutated
+// elsewhere afterwards.
 func NewIncremental(rel *relation.Relation, q Query, opts Options) (*Incremental, *Result, error) {
 	return NewIncrementalCtx(nil, rel, q, opts)
 }
@@ -44,7 +37,7 @@ func NewIncremental(rel *relation.Relation, q Query, opts Options) (*Incremental
 // initial engine build and first explain observe ctx, so a streaming
 // client with an expired deadline does not pay for a full cold build.
 func NewIncrementalCtx(ctx context.Context, rel *relation.Relation, q Query, opts Options) (*Incremental, *Result, error) {
-	eng, err := newEngine(ctx, rel, q, opts, engineConfig{explainer: true, streaming: true})
+	eng, err := newEngine(ctx, rel, q, opts, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,8 +46,6 @@ func NewIncrementalCtx(ctx context.Context, rel *relation.Relation, q Query, opt
 		return nil, nil, err
 	}
 	inc := &Incremental{
-		query:    q,
-		opts:     opts,
 		eng:      eng,
 		lastCuts: res.Cuts(),
 		lastN:    eng.u.NumTimestamps(),
@@ -99,7 +90,7 @@ func (inc *Incremental) ingest(oldN int) (*Result, error) {
 	if info.ChangedFrom > 0 {
 		positions = appendPositions(oldN, newN, inc.lastCuts, info.ChangedFrom)
 	}
-	res, err := inc.eng.explainWithPositions(positions)
+	res, err := inc.eng.explainPositionsK(nil, positions, inc.eng.opts.K)
 	if err != nil {
 		return nil, err
 	}
@@ -182,84 +173,6 @@ func appendPositions(oldN, newN int, lastCuts []int, changedFrom int) []int {
 	}
 	sort.Ints(positions)
 	return positions
-}
-
-// Update consumes a new relation snapshot that extends the previous one
-// with later timestamps and returns the refreshed result. The previous
-// snapshot's time labels must be an exact prefix of the new snapshot's.
-//
-// Update rebuilds the universe over the full snapshot (linear in total
-// history) and remaps the cached per-segment results onto it; prefer
-// Append/AppendRows, which consume only the delta. Update never builds a
-// throwaway explanation cache: engine construction skips the explainer
-// and the live one is re-attached after rebinding.
-func (inc *Incremental) Update(newRel *relation.Relation) (*Result, error) {
-	oldRel := inc.eng.rel
-	oldN := inc.lastN
-	newN := newRel.NumTimestamps()
-	if newN < oldN {
-		return nil, fmt.Errorf("core: new snapshot has %d timestamps, fewer than the previous %d", newN, oldN)
-	}
-	for i := 0; i < oldN; i++ {
-		if newRel.TimeLabel(i) != oldRel.TimeLabel(i) {
-			return nil, fmt.Errorf("core: time label %d changed from %q to %q; snapshots must append",
-				i, oldRel.TimeLabel(i), newRel.TimeLabel(i))
-		}
-	}
-
-	// Rebuild the universe over the extended relation (linear in the new
-	// data) while keeping the expensive per-segment explanation cache.
-	// engineConfig.explainer is false: the rebuilt engine adopts the live
-	// explainer instead of constructing one only to discard it.
-	fresh, err := newEngine(nil, newRel, inc.query, inc.opts, engineConfig{streaming: true})
-	if err != nil {
-		return nil, err
-	}
-	exp := inc.eng.exp
-	exp.Rebind(fresh.u)
-	exp.SetAllowed(fresh.allowed)
-	// Smoothing looks half a window ahead, so cached segments near the
-	// old tail are stale; revised last points likewise invalidate the
-	// very end. Drop them and keep the rest.
-	invalidFrom := oldN - 1
-	if w := inc.opts.SmoothWindow; w > 1 {
-		invalidFrom = oldN - 1 - w/2
-		if invalidFrom < 0 {
-			invalidFrom = 0
-		}
-	}
-	// As on the append path, a candidate crossing the support-filter
-	// threshold invalidates cached explanations from its first position
-	// with mass: segments solved under the old selectable set may rank
-	// differently now. Candidate IDs shift across the rebuild, so flips
-	// are detected through the conjunctions.
-	if inc.opts.FilterRatio > 0 {
-		old := inc.eng
-		for id := 0; id < old.u.NumCandidates() && invalidFrom > 0; id++ {
-			nid, ok := fresh.u.Lookup(old.u.Candidate(id).Conj)
-			if !ok || old.allowed[id] == fresh.allowed[nid] {
-				continue
-			}
-			series := fresh.u.Candidate(nid).Series
-			for t := 0; t < invalidFrom; t++ {
-				if series[t] != (relation.SumCount{}) {
-					invalidFrom = t
-					break
-				}
-			}
-		}
-	}
-	exp.InvalidateFrom(invalidFrom)
-	fresh.exp = exp
-	inc.eng = fresh
-
-	res, err := inc.eng.explainWithPositions(appendPositions(oldN, newN, inc.lastCuts, invalidFrom))
-	if err != nil {
-		return nil, err
-	}
-	inc.lastCuts = res.Cuts()
-	inc.lastN = newN
-	return res, nil
 }
 
 // Engine returns the current underlying engine.

@@ -140,7 +140,7 @@ func truncateOnDeadline(best *Result, emit RoundSink, err error) (*Result, error
 // approximate explain restarts the anytime ramp instead of paying a
 // full-width first round.
 func (e *Engine) clearApprox(a *approxState) {
-	e.exp.SetRestriction(e.allowed, nil)
+	e.exp.SetRestriction(nil)
 	e.vc = nil
 	a.installedM = -1
 	a.m = a.m0

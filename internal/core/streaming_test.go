@@ -7,6 +7,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/explain"
 	"repro/internal/relation"
+	"repro/internal/synth"
 )
 
 // replayBuilder reconstructs, from scratch through the Builder path, the
@@ -183,11 +184,6 @@ func TestIncrementalAppendFilterFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The compatibility snapshot path must handle the flip too.
-	incSnap, _, err := NewIncremental(base, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for d := 25; d < 40; d++ {
 		ts, dims, meas := day(d)
 		addAll(ts, dims, meas)
@@ -216,11 +212,6 @@ func TestIncrementalAppendFilterFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResults(t, fmt.Sprintf("day %d", d), res, want)
-		snapRes, err := incSnap.Update(frel)
-		if err != nil {
-			t.Fatalf("day %d snapshot: %v", d, err)
-		}
-		sameResults(t, fmt.Sprintf("day %d (snapshot)", d), snapRes, want)
 		if d == 30 && fresh.FilteredCount() != inc.Engine().FilteredCount() {
 			t.Fatalf("day %d: filtered count %d, want %d", d, inc.Engine().FilteredCount(), fresh.FilteredCount())
 		}
@@ -271,6 +262,9 @@ func TestIncrementalAppendMatchesFromScratch(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResults(t, fmt.Sprintf("day %d", day), res, want)
+				if got, want := inc.Engine().FilteredCount(), fresh.FilteredCount(); got != want {
+					t.Fatalf("day %d: filtered count %d, want %d", day, got, want)
+				}
 			}
 
 			for day := start; day < datasets.StreamDays; day++ {
@@ -420,5 +414,185 @@ func sameLeaves(t *testing.T, ctx string, eng *Engine) {
 	want := explain.NewScoreTable(eng.Universe(), ids).Leaves()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%s: leaf bits %x, want %x", ctx, got, want)
+	}
+}
+
+// prefixRelation builds, through the Builder path, a relation holding the
+// rows of full at time positions [0, n) in the order RowBatch replays
+// them, so a from-scratch engine explains exactly what an incremental one
+// fed the same batches has ingested.
+func prefixRelation(t *testing.T, full *relation.Relation, byTime [][]int, n int) *relation.Relation {
+	t.Helper()
+	b := relation.NewBuilder(full.Name(), full.TimeName(), full.DimNames(), full.MeasureNames())
+	ts, dims, meas := full.RowBatch(byTime, 0, n)
+	for i := range ts {
+		if err := b.Append(ts[i], dims[i], meas[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// sameApprox asserts two approximate results also agree on what the
+// approximate path adds: every segment's error bound and residual, and
+// the run-level ApproxInfo.
+func sameApprox(t *testing.T, ctx string, got, want *Result) {
+	t.Helper()
+	if got.Approx == nil || want.Approx == nil {
+		t.Fatalf("%s: approx info %v, want %v", ctx, got.Approx, want.Approx)
+	}
+	if *got.Approx != *want.Approx {
+		t.Fatalf("%s: approx info %+v, want %+v", ctx, *got.Approx, *want.Approx)
+	}
+	for s := range got.Segments {
+		g, w := got.Segments[s], want.Segments[s]
+		if g.ErrBound != w.ErrBound {
+			t.Fatalf("%s: segment %d error bound %v, want %v", ctx, s, g.ErrBound, w.ErrBound)
+		}
+		if g.Other == nil || w.Other == nil {
+			t.Fatalf("%s: segment %d residual %v, want %v", ctx, s, g.Other, w.Other)
+		}
+		if g.Other.Gamma != w.Other.Gamma || g.Other.Effect != w.Other.Effect ||
+			fmt.Sprint(g.Other.Values) != fmt.Sprint(w.Other.Values) {
+			t.Fatalf("%s: segment %d residual %+v, want %+v", ctx, s, *g.Other, *w.Other)
+		}
+	}
+}
+
+// TestIncrementalApproxAppendMatchesFromScratch streams a high-cardinality
+// dataset one timestamp per append through the approximate path and
+// checks every update bit for bit against a fresh engine. Each append
+// shifts the contribution bounds, so the engine must drop its ranking and
+// the restriction installed from it before the explainer refreshes; a
+// stale ranking keeps pruning with the old order and the old threshold.
+// The eligible set grows from 303 candidates at the initial build to 546
+// while 32 are used, so pruning is live on every update.
+func TestIncrementalApproxAppendMatchesFromScratch(t *testing.T) {
+	d, err := synth.HighCardinality(synth.HighCardParams{Users: 80, Regions: 6, N: 48, Whales: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := d.Rel
+	byTime := full.RowsByTime()
+	q := Query{Measure: "events", Agg: relation.Sum}
+	const start = 24
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"approx", Options{MaxOrder: 2, Approx: ApproxOptions{Enabled: true, Epsilon: 0.05}}},
+		{"filter+guess+approx", Options{MaxOrder: 2, FilterRatio: 0.001, UseGuessVerify: true,
+			Approx: ApproxOptions{Enabled: true, Epsilon: 0.02}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inc, _, err := NewIncremental(prefixRelation(t, full, byTime, start), q, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := start + 1; n <= full.NumTimestamps(); n++ {
+				res, err := inc.AppendRows(full.RowBatch(byTime, n-1, n))
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				fresh, err := NewEngine(prefixRelation(t, full, byTime, n), q, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Explain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := fmt.Sprintf("n=%d", n)
+				sameResults(t, ctx, res, want)
+				sameApprox(t, ctx, res, want)
+				if a := res.Approx; a.CandidatesUsed >= a.CandidatesEligible {
+					t.Fatalf("%s: %d of %d eligible candidates used; nothing was pruned", ctx, a.CandidatesUsed, a.CandidatesEligible)
+				}
+			}
+		})
+	}
+}
+
+// TestIncrementalRevisionUnqualifiesSlice appends a day on which a new
+// slice first passes the support filter, then revises that day so the
+// slice no longer passes. The slice's first qualifying position is the
+// revised day itself, so the filter must rescan it: a rescan that skipped
+// candidates first qualifying at or after the change would keep the slice
+// selectable.
+func TestIncrementalRevisionUnqualifiesSlice(t *testing.T) {
+	opts := Options{FilterRatio: 0.01, MaxOrder: 1}
+	q := Query{Measure: "v", Agg: relation.Sum}
+	rows := func(label string, vals map[string]float64) (ts []string, dims [][]string, meas [][]float64) {
+		for _, s := range []string{"a", "b", "c", "new"} {
+			if v, ok := vals[s]; ok {
+				ts = append(ts, label)
+				dims = append(dims, []string{s})
+				meas = append(meas, []float64{v})
+			}
+		}
+		return
+	}
+	all := struct {
+		ts   []string
+		dims [][]string
+		meas [][]float64
+	}{}
+	add := func(ts []string, dims [][]string, meas [][]float64) {
+		all.ts = append(all.ts, ts...)
+		all.dims = append(all.dims, dims...)
+		all.meas = append(all.meas, meas...)
+	}
+	fresh := func() *Engine {
+		b := relation.NewBuilder("rev", "day", []string{"s"}, []string{"v"})
+		for i := range all.ts {
+			if err := b.Append(all.ts[i], all.dims[i], all.meas[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rel, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(rel, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	for d := 0; d < 20; d++ {
+		add(rows(fmt.Sprintf("d%03d", d), map[string]float64{"a": 1000 + 5*float64(d), "b": 200, "c": 100}))
+	}
+	inc, _, err := NewIncremental(fresh().rel, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name string
+		vals map[string]float64
+	}{
+		// new holds 20 of the day's 1,350 and passes the 1% filter...
+		{"new slice qualifies", map[string]float64{"a": 1100, "b": 130, "c": 100, "new": 20}},
+		// ...until a late +2,000 on b lifts the day's total to 3,350.
+		{"revision unqualifies it", map[string]float64{"b": 2000}},
+	} {
+		ts, dims, meas := rows("d020", step.vals)
+		add(ts, dims, meas)
+		res, err := inc.AppendRows(ts, dims, meas)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		eng := fresh()
+		want, err := eng.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, step.name, res, want)
+		if got, want := inc.Engine().FilteredCount(), eng.FilteredCount(); got != want {
+			t.Fatalf("%s: filtered count %d, want %d", step.name, got, want)
+		}
 	}
 }

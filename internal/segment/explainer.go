@@ -28,9 +28,6 @@ type Explainer struct {
 	// of allowed (every candidate when it is nil), or the budgeted
 	// approximate mode's pruned top-M installed by SetRestriction.
 	ids []int
-	// restricted reports that ids came from SetRestriction rather than
-	// from allowed.
-	restricted bool
 	// table scores the selectable candidates for every solve. nil means
 	// stale: it is built on the first solve after the selectable set or
 	// the universe changed.
@@ -176,53 +173,6 @@ func (e *Explainer) Grow(n int) {
 	e.cache = e.cache.resize(n)
 }
 
-// Rebind points the explainer at a new universe while keeping the cached
-// per-segment results. It is only safe when the new universe extends the
-// old one with later timestamps (the shared prefix must be unchanged),
-// which is exactly the real-time append scenario of Section 8. A universe
-// grown in place keeps its IDs and goes through Appended instead.
-//
-// The new universe (the snapshot-rebuild path) re-enumerates candidates,
-// so IDs shift: every cached result's IDs are remapped through the
-// conjunctions; entries that cannot be remapped are dropped and will
-// simply be recomputed.
-func (e *Explainer) Rebind(u *explain.Universe) {
-	old := e.u
-	e.table = nil
-	remap := func(c, t int, res *cascading.Result) bool {
-		remapped, ok := remapResult(res, old, u)
-		if !ok {
-			return false
-		}
-		*res = *remapped
-		return true
-	}
-	n := u.NumTimestamps()
-	if e.cache.grow(n) {
-		// The triangle (or map) accommodates the grown series: remap
-		// entries in place, no reallocation.
-		e.cache.rewrite(remap)
-	} else {
-		// Migrate into a fresh cache sized with headroom so the following
-		// appends of a streaming series grow in place instead of
-		// re-allocating the triangle per update.
-		next := newSegCacheCap(n, n+n/2)
-		e.cache.forEach(func(c, t int, res *cascading.Result) {
-			if remap(c, t, res) {
-				next.put(c, t, *res)
-			}
-		})
-		e.cache = next
-	}
-	e.u = u
-	e.solver = cascading.NewSolver(u, e.solver.Metric(), e.m)
-	// An approximate-mode restriction names the old universe's IDs; the
-	// rebound explainer solves over everything allowed admits until a new
-	// restriction is installed.
-	e.restricted = false
-	e.ids = selectableIDs(u, e.allowed)
-}
-
 // Appended retargets the explainer after its universe grew in place
 // (Universe.Append, which keeps candidate IDs stable and registers
 // delta-born candidates at the tail): the caches grow without remapping,
@@ -238,33 +188,13 @@ func (e *Explainer) Appended(allowed []bool, changedFrom int) {
 	}
 }
 
-// remapResult translates a cached result's candidate IDs from one
-// universe to another via their conjunctions.
-func remapResult(res *cascading.Result, old, next *explain.Universe) (*cascading.Result, bool) {
-	out := cascading.Result{
-		Best:         append([]float64(nil), res.Best...),
-		Explanations: make([]cascading.Picked, len(res.Explanations)),
-	}
-	for i, p := range res.Explanations {
-		id, ok := next.Lookup(old.Candidate(p.ID).Conj)
-		if !ok {
-			return nil, false
-		}
-		out.Explanations[i] = cascading.Picked{ID: id, Gamma: p.Gamma, Effect: p.Effect}
-	}
-	return &out, true
-}
-
 // SetAllowed replaces the selectable-candidate restriction for future
 // solves (nil allows every candidate); the score table is dropped only
 // when the selectable set actually changed. Cached segments keep the
-// results they were computed with. Under an approximate-mode restriction
-// the restricted set stays selectable until SetRestriction replaces it.
+// results they were computed with. It must not run while an
+// approximate-mode restriction is installed.
 func (e *Explainer) SetAllowed(allowed []bool) {
 	e.allowed = allowed
-	if e.restricted {
-		return
-	}
 	if e.table == nil || !e.table.Lists(allowed) {
 		e.table = nil
 		e.ids = selectableIDs(e.u, allowed)
@@ -272,17 +202,15 @@ func (e *Explainer) SetAllowed(allowed []bool) {
 }
 
 // SetRestriction installs the budgeted approximate mode's pruned
-// selectable set: allowed is the filter's membership bitmap (nil: every
-// candidate), ids the pruned top-M as an ascending list, retained by the
-// explainer. nil ids clears the restriction and returns to solving over
-// everything allowed admits. It drops every cached per-segment result —
-// entries solved under a different selectable set would otherwise leak a
-// differently pruned optimum into this configuration's answers.
-func (e *Explainer) SetRestriction(allowed []bool, ids []int) {
-	e.allowed = allowed
-	e.restricted = ids != nil
+// selectable set: ids is the pruned top-M as an ascending list, retained
+// by the explainer. nil ids clears the restriction and returns to solving
+// over everything the filter's set admits. It drops every cached
+// per-segment result — entries solved under a different selectable set
+// would otherwise leak a differently pruned optimum into this
+// configuration's answers.
+func (e *Explainer) SetRestriction(ids []int) {
 	if ids == nil {
-		ids = selectableIDs(e.u, allowed)
+		ids = selectableIDs(e.u, e.allowed)
 	}
 	e.ids = ids
 	e.table = nil

@@ -23,8 +23,8 @@ func catID(t *testing.T, u *explain.Universe, cat string) int {
 
 // TestExplainerScoreTableTracksSelectableSet checks the explainer keeps
 // one score table over exactly its selectable set: kept while the set is
-// unchanged, rebuilt when the filter set, an approximate-mode restriction,
-// or the universe changes.
+// unchanged, rebuilt when the filter set or an approximate-mode
+// restriction changes.
 func TestExplainerScoreTableTracksSelectableSet(t *testing.T) {
 	u := twoPhase(t, 20, 10)
 	a, b := catID(t, u, "a"), catID(t, u, "b")
@@ -62,28 +62,17 @@ func TestExplainerScoreTableTracksSelectableSet(t *testing.T) {
 
 	// A restriction overrides the filter set until it is cleared, and
 	// drops results solved under the old set.
-	e.SetRestriction(nil, []int{b})
+	e.SetAllowed(nil)
+	e.SetRestriction([]int{b})
 	if ids := e.ScoreTable().IDs(); !reflect.DeepEqual(ids, []int{b}) {
 		t.Fatalf("restricted table lists %v, want [%d]", ids, b)
-	}
-	e.SetAllowed(nil)
-	if ids := e.ScoreTable().IDs(); !reflect.DeepEqual(ids, []int{b}) {
-		t.Fatalf("SetAllowed under a restriction changed the table to %v", ids)
 	}
 	if top := e.TopM(0, 19); len(top.Explanations) != 1 || top.Explanations[0].ID != b {
 		t.Errorf("restricted top-m = %+v, want only category=b", top.Explanations)
 	}
-	e.SetRestriction(nil, nil)
+	e.SetRestriction(nil)
 	if n := len(e.ScoreTable().IDs()); n != u.NumCandidates() {
 		t.Fatalf("cleared restriction lists %d candidates, want %d", n, u.NumCandidates())
-	}
-
-	// Rebinding to a new universe drops the restriction and the table.
-	e.SetRestriction(nil, []int{b})
-	u2 := twoPhase(t, 24, 10)
-	e.Rebind(u2)
-	if tab2 := e.ScoreTable(); len(tab2.IDs()) != u2.NumCandidates() || !tab2.Equal(explain.NewScoreTable(u2, nil)) {
-		t.Fatalf("rebound table lists %v", tab2.IDs())
 	}
 }
 

@@ -33,10 +33,6 @@ const flatCacheMaxN = 1024
 
 func newSegCache(n int) *segCache { return newTriCacheCap[cascading.Result](n, n) }
 
-// newSegCacheCap allocates the triangle for capN points while logically
-// serving n — the headroom lets grow() extend a streaming series in place.
-func newSegCacheCap(n, capN int) *segCache { return newTriCacheCap[cascading.Result](n, capN) }
-
 // newTriCacheCap allocates a cache for capN points that logically serves
 // n.
 func newTriCacheCap[V any](n, capN int) *triCache[V] {
@@ -98,26 +94,6 @@ func (sc *triCache[V]) resize(n int) *triCache[V] {
 		next.put(c, t, *v)
 	})
 	return next
-}
-
-// rewrite visits every live entry, letting fn mutate the value in place;
-// returning false drops the entry.
-func (sc *triCache[V]) rewrite(fn func(c, t int, v *V) bool) {
-	if sc.n > 0 {
-		for c := 0; c < sc.n; c++ {
-			for t := c + 1; t < sc.n; t++ {
-				if i := sc.flatIdx(c, t); sc.gen[i] == sc.cur && !fn(c, t, &sc.flat[i]) {
-					sc.gen[i] = 0
-				}
-			}
-		}
-	}
-	//tsexplain:unordered per-entry rewrite/drop of a segment-keyed cache; entries are independent
-	for key, v := range sc.m {
-		if !fn(int(key>>segKeyShift), int(key&(1<<segKeyShift-1)), v) {
-			delete(sc.m, key)
-		}
-	}
 }
 
 // get returns the cached value for [c, t], or nil. Segments outside a

@@ -107,8 +107,8 @@ func TestSegCacheModeSelection(t *testing.T) {
 	}
 }
 
-func TestSegCacheGrowAndRewrite(t *testing.T) {
-	sc := newSegCacheCap(10, 15)
+func TestSegCacheGrow(t *testing.T) {
+	sc := newTriCacheCap[cascading.Result](10, 15)
 	sc.put(2, 8, resWith(5))
 	sc.put(0, 9, resWith(6))
 	if sc.get(2, 12) != nil {
@@ -128,22 +128,8 @@ func TestSegCacheGrowAndRewrite(t *testing.T) {
 		t.Fatal("grow past capacity should refuse")
 	}
 
-	sc.rewrite(func(c, tt int, r *cascading.Result) bool {
-		if c == 0 {
-			return false // drop
-		}
-		r.Best[1] *= 10
-		return true
-	})
-	if sc.get(0, 9) != nil {
-		t.Error("rewrite did not drop the entry")
-	}
-	if got := sc.get(2, 8); got == nil || got.Best[1] != 50 {
-		t.Error("rewrite did not mutate in place")
-	}
-
 	// Headroom never forces map mode for flat-eligible lengths.
-	if sc := newSegCacheCap(800, 1200); sc.n == 0 {
+	if sc := newTriCacheCap[cascading.Result](800, 1200); sc.n == 0 {
 		t.Error("clamped headroom should keep the flat form")
 	}
 }

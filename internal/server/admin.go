@@ -33,6 +33,9 @@ import (
 // uploadLimitBytes bounds one multipart upload (manifest + CSV).
 const uploadLimitBytes = 256 << 20
 
+// manifestLimitBytes bounds the manifest part of an upload.
+const manifestLimitBytes = 1 << 20
+
 // appendLimitBytes bounds one NDJSON append batch.
 const appendLimitBytes = 64 << 20
 
@@ -134,12 +137,17 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // readManifestPart decodes and validates the manifest part, additionally
-// rejecting names and aliases that would shadow a built-in dataset.
+// rejecting names and aliases that would shadow a built-in dataset. A part
+// over manifestLimitBytes is refused rather than truncated: a cut landing
+// after a complete document would otherwise hide whatever followed it.
 func readManifestPart(part *multipart.Part) (*catalog.Manifest, error) {
 	defer part.Close()
-	data, err := io.ReadAll(io.LimitReader(part, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(part, manifestLimitBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("reading manifest: %w", err)
+	}
+	if len(data) > manifestLimitBytes {
+		return nil, fmt.Errorf("manifest part exceeds %d bytes", manifestLimitBytes)
 	}
 	m, err := catalog.ParseManifest(data)
 	if err != nil {
@@ -310,7 +318,9 @@ func overLimitErr(err error, format string) error {
 // parseAppendNDJSON decodes the append body into the row-major shape
 // Relation.AppendRows consumes, resolving dimension values through the
 // manifest's attribute names so row order in the JSON object does not
-// matter.
+// matter. Every non-empty line holds exactly one JSON object, and every
+// row exactly one measure form: "measure", or "measures" keyed by every
+// measure column and nothing else. Any other line fails the whole body.
 func parseAppendNDJSON(body io.Reader, m *catalog.Manifest) (timeVals []string, dims [][]string, measures [][]float64, err error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), 4<<20)
@@ -324,7 +334,11 @@ func parseAppendNDJSON(body io.Reader, m *catalog.Manifest) (timeVals []string, 
 		var row appendRow
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&row); err != nil {
+		err := dec.Decode(&row)
+		if err == nil && dec.Decode(&json.RawMessage{}) != io.EOF {
+			err = errors.New("data after the row object")
+		}
+		if err != nil {
 			// The scanner hands over its final token BEFORE reporting the
 			// read error, so an over-limit body surfaces here as a
 			// truncated last line — report the size limit, not a
@@ -354,6 +368,9 @@ func parseAppendNDJSON(body io.Reader, m *catalog.Manifest) (timeVals []string, 
 		measCols := m.Spec().MeasCols
 		mvs := make([]float64, len(measCols))
 		switch {
+		case row.Measure != nil && row.Measures != nil:
+			return nil, nil, nil, httpErrf(http.StatusBadRequest,
+				"append line %d: use either \"measure\" or \"measures\", not both", line)
 		case row.Measure != nil && len(measCols) == 1:
 			mvs[0] = *row.Measure
 		case row.Measure != nil:
@@ -366,6 +383,9 @@ func parseAppendNDJSON(body io.Reader, m *catalog.Manifest) (timeVals []string, 
 					return nil, nil, nil, httpErrf(http.StatusBadRequest, "append line %d: missing measure %q", line, col)
 				}
 				mvs[i] = v
+			}
+			if len(row.Measures) != len(measCols) {
+				return nil, nil, nil, httpErrf(http.StatusBadRequest, "append line %d: %d measure values, want %d", line, len(row.Measures), len(measCols))
 			}
 		default:
 			return nil, nil, nil, httpErrf(http.StatusBadRequest, "append line %d: missing measure", line)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 // FuzzParseAppendNDJSON drives the NDJSON append decoder with arbitrary
 // bodies: it must never panic, and on success the row-major output it
 // hands to Relation.AppendRows must be internally consistent (equal
-// lengths, full dimension arity, one measure per row).
+// lengths, full dimension arity, one measure per row) and hold one row
+// per non-empty line.
 func FuzzParseAppendNDJSON(f *testing.F) {
 	f.Add(`{"time":"2024-01-01","dims":{"state":"NY","region":"east"},"measure":3}`)
 	f.Add(`{"time":"2024-01-01","dims":{"state":"NY","region":"east"},"measures":{"value":1.5}}`)
@@ -19,6 +21,9 @@ func FuzzParseAppendNDJSON(f *testing.F) {
 	f.Add(`{"unknown":true}`)
 	f.Add("not json at all")
 	f.Add(`{"time":"t","dims":{"state":"NY","region":"east","extra":"boom"},"measure":1}`)
+	f.Add(`{"time":"t","dims":{"state":"NY","region":"east"},"measure":1} {"time":"u","dims":{"state":"NY","region":"east"},"measure":2}`)
+	f.Add(`{"time":"t","dims":{"state":"NY","region":"east"},"measure":1,"measures":{"value":2}}`)
+	f.Add(`{"time":"t","dims":{"state":"NY","region":"east"},"measures":{"value":1,"other":2}}`)
 
 	m := &catalog.Manifest{
 		Name:       "fuzz",
@@ -36,6 +41,17 @@ func FuzzParseAppendNDJSON(f *testing.F) {
 		}
 		if len(timeVals) == 0 {
 			t.Fatal("nil error with zero rows")
+		}
+		lines := 0
+		sc := bufio.NewScanner(strings.NewReader(body))
+		sc.Buffer(nil, len(body)+1)
+		for sc.Scan() {
+			if len(sc.Bytes()) > 0 {
+				lines++
+			}
+		}
+		if len(timeVals) != lines {
+			t.Fatalf("%d rows from %d non-empty lines", len(timeVals), lines)
 		}
 		if len(dims) != len(timeVals) || len(measures) != len(timeVals) {
 			t.Fatalf("row-major shapes diverge: %d times, %d dims, %d measures",

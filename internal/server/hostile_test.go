@@ -106,3 +106,90 @@ func TestHostilePathParameters(t *testing.T) {
 		t.Errorf("file tree changed under hostile paths:\nbefore %v\nafter  %v", before, after)
 	}
 }
+
+// TestHostileAppendBodies sends malformed NDJSON append bodies to a
+// catalog dataset that has already taken one valid append, so its live
+// incremental engine exists. Every body must answer 4xx with nothing
+// applied: the data directory stays byte-identical, and the next valid
+// append extends the series by exactly its one new day.
+func TestHostileAppendBodies(t *testing.T) {
+	dir := t.TempDir()
+	s := newCatalogServer(t, dir)
+	if rec := upload(t, s, catalogTestManifest, catalogTestCSV(12), true); rec.Code != 201 {
+		t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
+	}
+	row := func(day, extra string) string {
+		return `{"time":"2021-03-` + day + `","dims":{"state":"NY","county":"kings"}` + extra + `}`
+	}
+	if rec := appendNDJSON(t, s, "mydata", row("13", `,"measure":140`)+"\n", true); rec.Code != 200 {
+		t.Fatalf("first append: %d: %s", rec.Code, rec.Body.String())
+	}
+	before := treeDigest(t, dir)
+
+	bodies := []struct{ name, body string }{
+		{"not JSON", "not json\n"},
+		{"unknown field", row("14", `,"measure":1,"nope":2`) + "\n"},
+		{"missing measure", row("14", "") + "\n"},
+		{"null measure", row("14", `,"measure":null`) + "\n"},
+		{"measure out of range", row("14", `,"measure":1e400`) + "\n"},
+		{"time before the tail", row("05", `,"measure":1`) + "\n"},
+		{"missing dimension", `{"time":"2021-03-14","dims":{"state":"NY"},"measure":1}` + "\n"},
+		{"extra dimension", `{"time":"2021-03-14","dims":{"state":"NY","county":"kings","city":"nyc"},"measure":1}` + "\n"},
+		{"second object on a line", row("14", `,"measure":1`) + " " + row("14", `,"measure":2`) + "\n"},
+		{"junk after the object", row("14", `,"measure":1`) + " ]\n"},
+		{"both measure forms", row("14", `,"measure":1,"measures":{"cases":2}`) + "\n"},
+		{"unknown measures key", row("14", `,"measures":{"cases":1,"deaths":2}`) + "\n"},
+		{"5 MB line", row("14", `,"measure":1,"pad":"`+strings.Repeat("x", 5<<20)+`"`) + "\n"},
+		{"empty body", ""},
+	}
+	for _, b := range bodies {
+		rec := appendNDJSON(t, s, "mydata", b.body, true)
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Errorf("%s: answered %d, want 4xx: %.200s", b.name, rec.Code, rec.Body.String())
+		}
+	}
+	if after := treeDigest(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("data directory changed under hostile append bodies:\nbefore %v\nafter  %v", before, after)
+	}
+
+	rec := appendNDJSON(t, s, "mydata", row("14", `,"measure":150`)+"\n", true)
+	if rec.Code != 200 {
+		t.Fatalf("valid append after the hostile ones: %d: %s", rec.Code, rec.Body.String())
+	}
+	var ap struct {
+		Rows int `json:"rows"`
+		N    int `json:"n"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &ap); err != nil {
+		t.Fatal(err)
+	}
+	if ap.Rows != 1 || ap.N != 14 {
+		t.Fatalf("valid append = %+v, want 1 row over 14 days", ap)
+	}
+}
+
+// TestHostileManifestUploads uploads manifests that hide data after a
+// valid document: directly after it, and behind padding that reaches
+// past the manifest part's size limit. Both must answer 4xx and leave the
+// data directory unchanged.
+func TestHostileManifestUploads(t *testing.T) {
+	dir := t.TempDir()
+	s := newCatalogServer(t, dir)
+	before := treeDigest(t, dir)
+	// Each case names its own dataset, so one accepted upload cannot make
+	// the next answer 409 for a reason of its own.
+	manifest := func(name string) string {
+		return `{"name":"` + name + `","timeCol":"day","dimCols":["state","county"],"measureCol":"cases"}`
+	}
+	for _, m := range []struct{ name, manifest string }{
+		{"trailing data", manifest("trailing") + ` {"x":1}`},
+		{"padded past the limit", manifest("padded") + strings.Repeat(" ", manifestLimitBytes) + `{"x":1}`},
+	} {
+		if rec := upload(t, s, m.manifest, catalogTestCSV(12), true); rec.Code < 400 || rec.Code >= 500 {
+			t.Errorf("%s: answered %d, want 4xx: %s", m.name, rec.Code, rec.Body.String())
+		}
+	}
+	if after := treeDigest(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("data directory changed under hostile manifests:\nbefore %v\nafter  %v", before, after)
+	}
+}

@@ -4,7 +4,8 @@
 #
 #   BENCH_engine.json     hot-path micro-benchmarks (ns/op, B/op, allocs/op)
 #   BENCH_streaming.json  streaming replay: per-update latency of the
-#                         O(delta) append path vs the full-rebuild path
+#                         O(delta) append path vs a fresh engine build
+#                         and explain over the same snapshot
 #   BENCH_catalog.json    warm-restart path: snapshot save/restore vs the
 #                         cold CSV-parse + engine rebuild, per dataset
 #   BENCH_approx.json     anytime approximate path: exact vs approx explain

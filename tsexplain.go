@@ -171,7 +171,7 @@ func Explain(rel *Relation, q Query, opts Options) (*Result, error) {
 }
 
 // NewIncremental starts a real-time explainer over the initial snapshot
-// and returns the first result; feed extended snapshots to Update as new
+// and returns the first result; feed new rows to its AppendRows as new
 // data arrives (Section 8).
 func NewIncremental(rel *Relation, q Query, opts Options) (*Incremental, *Result, error) {
 	return core.NewIncremental(rel, q, opts)

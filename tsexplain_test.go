@@ -133,7 +133,8 @@ func TestPublicAPIBuilderAndIncremental(t *testing.T) {
 	if first.K < 1 {
 		t.Fatal("no initial result")
 	}
-	res, err := inc.Update(build(40))
+	full := build(40)
+	res, err := inc.AppendRows(full.RowBatch(full.RowsByTime(), 30, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
