@@ -311,7 +311,7 @@ func BenchmarkUniverseBuildLiquor(b *testing.B) {
 
 func BenchmarkCascadingSolveExact(b *testing.B) {
 	u := liquorUniverse(b)
-	s := cascading.NewSolver(u, explain.AbsoluteChange, 3)
+	s := cascading.NewSolver(u, 3)
 	tab := explain.NewScoreTable(u, nil)
 	n := u.NumTimestamps()
 	b.ResetTimer()
@@ -322,7 +322,7 @@ func BenchmarkCascadingSolveExact(b *testing.B) {
 
 func BenchmarkCascadingGuessVerify(b *testing.B) {
 	u := liquorUniverse(b)
-	s := cascading.NewSolver(u, explain.AbsoluteChange, 3)
+	s := cascading.NewSolver(u, 3)
 	tab := explain.NewScoreTable(u, u.FilterLowSupport(0.001))
 	n := u.NumTimestamps()
 	b.ResetTimer()
@@ -343,7 +343,7 @@ func BenchmarkCascadingGuessVerifyCovid(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := cascading.NewSolver(u, explain.AbsoluteChange, 3)
+	s := cascading.NewSolver(u, 3)
 	tab := explain.NewScoreTable(u, u.FilterLowSupport(0.001))
 	if w := len(tab.IDs()); w != 54 {
 		b.Fatalf("covid score table is %d columns wide, want 54", w)
@@ -361,7 +361,7 @@ func BenchmarkGammaLookup(b *testing.B) {
 	eps := u.NumCandidates()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u.Gamma(i%eps, 0, n-1, explain.AbsoluteChange)
+		u.Gamma(i%eps, 0, n-1)
 	}
 }
 

@@ -11,8 +11,11 @@
 //
 // -manifest reads the same JSON document the server's catalog stores
 // next to each uploaded dataset (timeCol/dimCols/measureCol/agg/
-// explainBy/maxOrder/smoothWindow), so an offline run reproduces exactly
-// what the server serves for that dataset.
+// explainBy/maxOrder/smoothWindow/hierarchies/rangeBins) and builds the
+// relation the way the catalog loads one, derived columns included: run
+// on a catalog's own manifest.json and data.csv, an offline run bins and
+// explains exactly what the server serves for that dataset, appended rows
+// included.
 package main
 
 import (
@@ -102,7 +105,7 @@ func run(csvPath, demo, manifestPath, timeCol, dims, measure, aggName, explainBy
 			return ferr
 		}
 		defer f.Close()
-		rel, err = tsexplain.ReadCSV(f, mf.Spec())
+		rel, err = mf.ReadRelation(f)
 		if err != nil {
 			return err
 		}

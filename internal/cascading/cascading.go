@@ -40,14 +40,13 @@ type Result struct {
 	Best []float64
 }
 
-// Solver runs the Cascading Analysts DP against one Universe and metric.
+// Solver runs the Cascading Analysts DP against one Universe.
 // A Solver reuses internal scratch buffers across Solve calls, so it is
 // cheap per call but not safe for concurrent use.
 type Solver struct {
-	u      *explain.Universe
-	metric explain.Metric
-	m      int
-	dims   []int // explain-by dims, fetched once (ExplainBy copies)
+	u    *explain.Universe
+	m    int
+	dims []int // explain-by dims, fetched once (ExplainBy copies)
 
 	// Reusable per-solve scratch: the segment's γ by table column, γ by
 	// candidate id for the entries the DP may read, and a generation-
@@ -84,16 +83,13 @@ type Solver struct {
 }
 
 // NewSolver returns a Solver that selects up to m non-overlapping
-// explanations under the given metric.
-func NewSolver(u *explain.Universe, metric explain.Metric, m int) *Solver {
+// explanations.
+func NewSolver(u *explain.Universe, m int) *Solver {
 	if m < 1 {
 		m = 1
 	}
-	return &Solver{u: u, metric: metric, m: m, dims: u.ExplainBy()}
+	return &Solver{u: u, m: m, dims: u.ExplainBy()}
 }
-
-// Metric returns the difference metric the solver scores with.
-func (s *Solver) Metric() explain.Metric { return s.metric }
 
 // scoreRow scores segment [c, t] into the row scratch: γ of every listed
 // candidate, by table column, so per-segment cost scales with the
@@ -104,7 +100,7 @@ func (s *Solver) scoreRow(c, t int, tab *explain.ScoreTable) []float64 {
 		s.rowBuf = make([]float64, w)
 	}
 	row := s.rowBuf[:w]
-	tab.ScoreRow(c, t, s.metric, row)
+	tab.ScoreRow(c, t, row)
 	return row
 }
 

@@ -80,7 +80,7 @@ func names(u *explain.Universe, res Result) []string {
 func TestTop1PicksLargestSlice(t *testing.T) {
 	r := buildTwoDim(t)
 	u := universeFor(t, r)
-	res := NewSolver(u, explain.AbsoluteChange, 1).Solve(0, 1, tableOf(u, nil))
+	res := NewSolver(u, 1).Solve(0, 1, tableOf(u, nil))
 	if len(res.Explanations) != 1 {
 		t.Fatalf("got %d explanations, want 1", len(res.Explanations))
 	}
@@ -100,7 +100,7 @@ func TestTop1PicksLargestSlice(t *testing.T) {
 func TestTop3IsOptimalAndNonOverlapping(t *testing.T) {
 	r := buildTwoDim(t)
 	u := universeFor(t, r)
-	res := NewSolver(u, explain.AbsoluteChange, 3).Solve(0, 1, tableOf(u, nil))
+	res := NewSolver(u, 3).Solve(0, 1, tableOf(u, nil))
 	// Optimal: NY(100) + CA&a(50) + CA&b(10) = 160 beats NY+CA+WA = 165?
 	// NY+CA+WA = 100+60+5 = 165 > 160, so the optimum keeps CA whole.
 	got := names(u, res)
@@ -132,7 +132,7 @@ func TestDrillDownBeatsWholeSliceWhenSplitHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := universeFor(t, r)
-	res := NewSolver(u, explain.AbsoluteChange, 2).Solve(0, 1, tableOf(u, nil))
+	res := NewSolver(u, 2).Solve(0, 1, tableOf(u, nil))
 	got := names(u, res)
 	sort.Strings(got)
 	want := []string{"state=CA & cat=a", "state=NY & cat=b"}
@@ -153,7 +153,7 @@ func TestDrillDownBeatsWholeSliceWhenSplitHelps(t *testing.T) {
 func TestBestVectorMonotone(t *testing.T) {
 	r := buildTwoDim(t)
 	u := universeFor(t, r)
-	res := NewSolver(u, explain.AbsoluteChange, 3).Solve(0, 1, tableOf(u, nil))
+	res := NewSolver(u, 3).Solve(0, 1, tableOf(u, nil))
 	if res.Best[0] != 0 {
 		t.Errorf("Best[0] = %g, want 0", res.Best[0])
 	}
@@ -175,7 +175,7 @@ func TestBestVectorMonotone(t *testing.T) {
 func TestAllowedRestrictsSelection(t *testing.T) {
 	r := buildTwoDim(t)
 	u := universeFor(t, r)
-	s := NewSolver(u, explain.AbsoluteChange, 1)
+	s := NewSolver(u, 1)
 	// Forbid state=NY; the best selectable is state=CA (60).
 	allowed := make([]bool, u.NumCandidates())
 	for i := range allowed {
@@ -204,7 +204,7 @@ func TestDrillThroughDisallowedIntermediate(t *testing.T) {
 			allowed[id] = true
 		}
 	}
-	res := NewSolver(u, explain.AbsoluteChange, 2).Solve(0, 1, tableOf(u, allowed))
+	res := NewSolver(u, 2).Solve(0, 1, tableOf(u, allowed))
 	if len(res.Explanations) != 2 {
 		t.Fatalf("got %d explanations, want 2", len(res.Explanations))
 	}
@@ -238,7 +238,7 @@ func TestGuessVerifyMatchesExactOnRandomData(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := universeFor(t, r)
-		solver := NewSolver(u, explain.AbsoluteChange, 3)
+		solver := NewSolver(u, 3)
 		exact := solver.Solve(0, 1, tableOf(u, nil))
 		for _, init := range []int{3, 5, 30} {
 			gv, rounds := solver.GuessVerify(0, 1, init, tableOf(u, nil))
@@ -253,7 +253,7 @@ func TestGuessVerifyMatchesExactOnRandomData(t *testing.T) {
 func TestGuessVerifyLargeInitIsOneRound(t *testing.T) {
 	r := buildTwoDim(t)
 	u := universeFor(t, r)
-	solver := NewSolver(u, explain.AbsoluteChange, 3)
+	solver := NewSolver(u, 3)
 	_, rounds := solver.GuessVerify(0, 1, 10000, tableOf(u, nil))
 	if rounds != 1 {
 		t.Errorf("rounds = %d, want 1 when m̄ ≥ ε", rounds)
@@ -263,7 +263,7 @@ func TestGuessVerifyLargeInitIsOneRound(t *testing.T) {
 func TestSolverMinimumM(t *testing.T) {
 	r := buildTwoDim(t)
 	u := universeFor(t, r)
-	res := NewSolver(u, explain.AbsoluteChange, 0).Solve(0, 1, tableOf(u, nil))
+	res := NewSolver(u, 0).Solve(0, 1, tableOf(u, nil))
 	if len(res.Explanations) != 1 {
 		t.Errorf("m<1 should clamp to 1, got %d picks", len(res.Explanations))
 	}
@@ -272,7 +272,7 @@ func TestSolverMinimumM(t *testing.T) {
 func TestRankedByGammaDescending(t *testing.T) {
 	r := buildTwoDim(t)
 	u := universeFor(t, r)
-	res := NewSolver(u, explain.AbsoluteChange, 3).Solve(0, 1, tableOf(u, nil))
+	res := NewSolver(u, 3).Solve(0, 1, tableOf(u, nil))
 	if !sort.SliceIsSorted(res.Explanations, func(i, j int) bool {
 		return res.Explanations[i].Gamma > res.Explanations[j].Gamma
 	}) {
@@ -300,7 +300,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 		}
 		u := universeFor(t, r)
 		m := 2 + rng.Intn(2)
-		res := NewSolver(u, explain.AbsoluteChange, m).Solve(0, 1, tableOf(u, nil))
+		res := NewSolver(u, m).Solve(0, 1, tableOf(u, nil))
 		want := bruteForceBest(u, 0, 1, m, nil)
 		if math.Abs(res.Best[m]-want) > 1e-9 {
 			t.Errorf("trial %d m=%d: DP=%g brute=%g", trial, m, res.Best[m], want)
@@ -315,7 +315,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 		}
 		want = bruteForceBest(u, 0, 1, m, allowed)
 		tab := tableOf(u, allowed)
-		s := NewSolver(u, explain.AbsoluteChange, m)
+		s := NewSolver(u, m)
 		exact := s.Solve(0, 1, tab)
 		gv, _ := s.GuessVerify(0, 1, 1, tab)
 		for name, got := range map[string]Result{"exact": exact, "guess": gv} {
@@ -393,7 +393,7 @@ func bruteForceBest(u *explain.Universe, c, t, m int, allowed []bool) float64 {
 	n := u.NumCandidates()
 	gammas := make([]float64, n)
 	for id := 0; id < n; id++ {
-		gammas[id], _ = u.Gamma(id, c, t, explain.AbsoluteChange)
+		gammas[id], _ = u.Gamma(id, c, t)
 	}
 	var best float64
 	var rec func(start int, chosen []int, total float64)

@@ -31,14 +31,14 @@ type refSolver struct {
 }
 
 // newRefSolver scores every listed candidate over [c, t] through
-// Metric.Score directly, by candidate id.
-func newRefSolver(u *explain.Universe, tab *explain.ScoreTable, metric explain.Metric, m, c, t int) *refSolver {
+// explain.Score directly, by candidate id.
+func newRefSolver(u *explain.Universe, tab *explain.ScoreTable, m, c, t int) *refSolver {
 	n := u.NumCandidates()
 	r := &refSolver{u: u, tab: tab, m: m, gamma: make([]float64, n), effect: make([]explain.Effect, n)}
 	tot := u.TotalSeries()
 	for _, id := range tab.IDs() {
 		s := u.Candidate(id).Series
-		r.gamma[id], r.effect[id] = metric.Score(u.Agg(), tot[c], tot[t], s[c], s[t])
+		r.gamma[id], r.effect[id] = explain.Score(u.Agg(), tot[c], tot[t], s[c], s[t])
 	}
 	return r
 }
@@ -313,8 +313,8 @@ func TestLeafShortcutMatchesReferenceDP(t *testing.T) {
 		}
 		tab := explain.NewScoreTable(u, ids)
 		for m := 1; m <= 4; m++ {
-			s := NewSolver(u, explain.AbsoluteChange, m)
-			ref := newRefSolver(u, tab, explain.AbsoluteChange, m, 0, 1)
+			s := NewSolver(u, m)
+			ref := newRefSolver(u, tab, m, 0, 1)
 			ctx := fmt.Sprintf("trial %d (%d candidates, β̄ %d, %d listed) m=%d", trial, n, u.MaxOrder(), len(tab.IDs()), m)
 			// Guess-and-verify runs first, on a fresh solver, so it cannot
 			// lean on γ an exact solve left in the solver's scratch.

@@ -196,12 +196,19 @@ func finiteMeasure(rel *relation.Relation, col string) error {
 // all fail here, before anything touches disk), and writes the dataset
 // atomically: the manifest and a normalized CSV (time column first, then
 // dimensions, then the measure — the column order AppendRows persists to)
-// are staged in a temp directory and renamed into place. It returns the
-// parsed relation so the caller can publish the dataset without re-reading
-// the file it just wrote.
+// are staged in a temp directory and renamed into place. The stored
+// manifest records the range-bin edges fitted here; a manifest that
+// already carries edges is refused. It returns the parsed relation so the
+// caller can publish the dataset without re-reading the file it just
+// wrote.
 func (c *Catalog) Create(m Manifest, csvSrc io.Reader) (*relation.Relation, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	for i := range m.RangeBins {
+		if m.RangeBins[i].Edges != nil {
+			return nil, fmt.Errorf("catalog: rangeBins column %q sets edges; the catalog fits and records them at upload", m.RangeBins[i].Column)
+		}
 	}
 	rel, err := relation.ReadCSV(csvSrc, m.Spec())
 	if err != nil {
@@ -214,11 +221,19 @@ func (c *Catalog) Create(m Manifest, csvSrc io.Reader) (*relation.Relation, erro
 		return nil, fmt.Errorf("catalog: dataset %q has %d distinct time values, need at least 2", m.Name, rel.NumTimestamps())
 	}
 	// Derived columns (hierarchies, range bins) validate against the real
-	// data here — a path column that is not a single-parent taxonomy or a
-	// constant range-bin source fails the upload before anything touches
-	// disk. Only base columns persist; loads re-derive.
+	// data here — a path column that is not a single-parent taxonomy
+	// fails the upload before anything touches disk; a constant range-bin
+	// source derives a single bin. Only base columns persist; loads
+	// re-derive, binning against the edges fitted here, which the stored
+	// manifest records. RangeBins is copied first so that recording them
+	// leaves the caller's manifest alone.
 	if err := m.ApplyDerived(rel); err != nil {
 		return nil, err
+	}
+	m.RangeBins = append([]RangeBinSpec(nil), m.RangeBins...)
+	for i := range m.RangeBins {
+		edges := rel.RangeBinEdges(m.RangeBins[i].EffectiveAs())
+		m.RangeBins[i].Edges = &edges
 	}
 
 	lock := c.lockFor(m.Name)
@@ -329,17 +344,11 @@ func (c *Catalog) LoadRelation(name string) (*relation.Relation, error) {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
 	defer f.Close()
-	rel, err := relation.ReadCSV(f, m.Spec())
-	if err != nil {
-		return nil, err
-	}
 	// The CSV persists base columns only; hierarchies and range bins are
-	// re-derived on every load (the derivation is deterministic, so a
-	// reload reproduces the exact column set Create validated).
-	if err := m.ApplyDerived(rel); err != nil {
-		return nil, err
-	}
-	return rel, nil
+	// re-derived on every load, range bins against the edges Create
+	// recorded, so a reload reproduces the exact columns Create built and
+	// appends bin as they did live.
+	return m.ReadRelation(f)
 }
 
 // AppendRows durably appends delta rows to the dataset's CSV, in the same

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -421,16 +422,41 @@ func derivedManifest() Manifest {
 	}
 }
 
+// sameDims fails the test unless got holds want's rows with the same
+// value in every dimension column, derived ones included.
+func sameDims(t *testing.T, ctx string, got, want *relation.Relation) {
+	t.Helper()
+	if got.NumDims() != want.NumDims() || got.NumRows() != want.NumRows() {
+		t.Fatalf("%s: shape differs: %d dims %d rows vs %d dims %d rows",
+			ctx, got.NumDims(), got.NumRows(), want.NumDims(), want.NumRows())
+	}
+	for row := 0; row < want.NumRows(); row++ {
+		for d := 0; d < want.NumDims(); d++ {
+			if got.DimValue(d, row) != want.DimValue(d, row) {
+				t.Fatalf("%s: row %d dim %d: got %q, want %q", ctx, row, d, got.DimValue(d, row), want.DimValue(d, row))
+			}
+		}
+	}
+}
+
 // TestCreateWithDerivedColumns: Create derives hierarchy levels and range
-// bins, persists base columns only, and LoadRelation re-derives the exact
-// same column set — edges included — so snapshot restores and cold loads
-// agree bit for bit.
+// bins, persists base columns only and records the fitted range-bin edges
+// in the stored manifest, and LoadRelation re-derives the exact same
+// column set — before and after appends that land outside the fitted
+// range — so snapshot restores, cold loads and the live relation agree.
 func TestCreateWithDerivedColumns(t *testing.T) {
 	c := openTestCatalog(t)
 	m := derivedManifest()
 	rel, err := c.Create(m, strings.NewReader(derivedCSV))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.RangeBins[0].Edges != nil {
+		t.Fatalf("Create wrote edges %v into the caller's manifest", *m.RangeBins[0].Edges)
+	}
+	stored, _ := c.Manifest("geo")
+	if got := stored.RangeBins[0].Edges; got == nil || !reflect.DeepEqual(*got, []float64{45}) {
+		t.Fatalf("stored price_bin edges = %v, want the fitted [45]", got)
 	}
 	if rel.NumBaseDims() != 1 || rel.NumDims() != 4 {
 		t.Fatalf("derived relation has %d base / %d total dims, want 1 / 4", rel.NumBaseDims(), rel.NumDims())
@@ -463,17 +489,7 @@ func TestCreateWithDerivedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumDims() != rel.NumDims() || loaded.NumRows() != rel.NumRows() {
-		t.Fatalf("reload shape differs: %d dims %d rows vs %d dims %d rows",
-			loaded.NumDims(), loaded.NumRows(), rel.NumDims(), rel.NumRows())
-	}
-	for row := 0; row < rel.NumRows(); row++ {
-		for d := 0; d < rel.NumDims(); d++ {
-			if loaded.DimValue(d, row) != rel.DimValue(d, row) {
-				t.Fatalf("row %d dim %d: reloaded %q, created %q", row, d, loaded.DimValue(d, row), rel.DimValue(d, row))
-			}
-		}
-	}
+	sameDims(t, "reload", loaded, rel)
 
 	// The derived columns are valid explain-by attributes.
 	u := buildUniverse(t, m, rel)
@@ -481,21 +497,119 @@ func TestCreateWithDerivedColumns(t *testing.T) {
 		t.Fatal("no candidates over derived explain-by attributes")
 	}
 
-	// Appends persist every Spec() measure and re-derive on reload.
-	if err := c.AppendRows("geo",
-		[]string{"2020-01-04"}, [][]string{{"TX/hou"}}, [][]float64{{11, 13}}); err != nil {
+	// Appends persist every Spec() measure and re-derive on reload. Their
+	// prices lie far above the fitted range, so fitting the edges again
+	// over all rows would move the edge to 1000 and relabel the rows
+	// priced 45–90; the reload must bin them as the live relation does.
+	times := []string{"2020-01-04", "2020-01-04", "2020-01-04", "2020-01-05", "2020-01-05", "2020-01-05", "2020-01-06", "2020-01-06"}
+	var dims [][]string
+	var meas [][]float64
+	for i := range times {
+		dims = append(dims, []string{[]string{"TX/hou", "TX/aus", "CA/la"}[i%3]})
+		meas = append(meas, []float64{float64(i + 1), float64(1000 * (i + 1))})
+	}
+	if err := rel.AppendRows(times, dims, meas); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AppendRows("geo", times, dims, meas); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AppendRows("geo",
-		[]string{"2020-01-05"}, [][]string{{"TX/hou"}}, [][]float64{{11}}); err == nil {
+		[]string{"2020-01-07"}, [][]string{{"TX/hou"}}, [][]float64{{11}}); err == nil {
 		t.Fatal("append with missing range-bin source measure accepted")
 	}
 	again, err := c.LoadRelation("geo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.NumRows() != rel.NumRows()+1 || again.NumDims() != 4 {
-		t.Fatalf("after append: %d rows %d dims", again.NumRows(), again.NumDims())
+	sameDims(t, "reload after append", again, rel)
+	reopened, err := Open(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := reopened.LoadRelation("geo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDims(t, "reopened catalog after append", restarted, rel)
+	if got, _ := c.Manifest("geo"); !reflect.DeepEqual(*got.RangeBins[0].Edges, []float64{45}) {
+		t.Fatalf("loads changed the in-memory edges to %v", *got.RangeBins[0].Edges)
+	}
+
+	// A manifest stored without edges keeps fitting them on every load,
+	// now over the appended rows too.
+	unrecorded := stored
+	unrecorded.RangeBins = []RangeBinSpec{stored.RangeBins[0]}
+	unrecorded.RangeBins[0].Edges = nil
+	legacy, err := json.Marshal(&unrecorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(c.Dir(), "geo", manifestFile), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if reopened, err = Open(c.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	refit, err := reopened.LoadRelation("geo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := refit.RangeBinEdges("price_bin"); !reflect.DeepEqual(got, []float64{1000}) {
+		t.Fatalf("manifest without edges binned with %v, want edges refitted to [1000]", got)
+	}
+}
+
+// TestConstantRangeBinSurvivesAppend: a range-bin source the upload holds
+// constant gets no edges, and the stored manifest records that empty list
+// — not an absent one, which would fit edges over the appended rows on
+// the next load.
+func TestConstantRangeBinSurvivesAppend(t *testing.T) {
+	c := openTestCatalog(t)
+	const constCSV = `date,loc,sales,price
+2020-01-01,TX/hou,5,10
+2020-01-02,TX/hou,7,10
+2020-01-03,CA/la,8,10
+`
+	rel, err := c.Create(derivedManifest(), strings.NewReader(constCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := c.Manifest("geo")
+	if got := stored.RangeBins[0].Edges; got == nil || len(*got) != 0 {
+		t.Fatalf("stored edges = %v, want a recorded empty list", got)
+	}
+	times := []string{"2020-01-04", "2020-01-04", "2020-01-05"}
+	dims := [][]string{{"TX/hou"}, {"CA/la"}, {"TX/hou"}}
+	meas := [][]float64{{1, 1000}, {2, 2000}, {3, 3000}}
+	if err := rel.AppendRows(times, dims, meas); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AppendRows("geo", times, dims, meas); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := reopened.LoadRelation("geo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDims(t, "reload after append", loaded, rel)
+}
+
+// TestCreateRefusesEdges: range-bin edges are recorded by the catalog,
+// never taken from an upload.
+func TestCreateRefusesEdges(t *testing.T) {
+	c := openTestCatalog(t)
+	m := derivedManifest()
+	m.RangeBins[0].Edges = &[]float64{50}
+	if _, err := c.Create(m, strings.NewReader(derivedCSV)); err == nil || !strings.Contains(err.Error(), "edges") {
+		t.Fatalf("Create with edges: err = %v, want a refusal naming edges", err)
+	}
+	if _, ok := c.Resolve("geo"); ok {
+		t.Fatal("refused create left the name registered")
 	}
 }
 

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -33,6 +35,11 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add(`{"name":"cl","timeCol":"t","dimCols":["a"],"measureCol":"m","rangeBins":[{"column":"price","as":"a"}]}`)
 	// A valid document followed by a second one.
 	f.Add(`{"name":"sales","timeCol":"day","dimCols":["state"],"measureCol":"value"} {"x":1}`)
+	// Recorded range-bin edges: valid, empty, non-increasing, too many.
+	f.Add(`{"name":"rbe","timeCol":"t","dimCols":["a"],"measureCol":"m","rangeBins":[{"column":"price","bins":4,"edges":[1,2.5,10]}]}`)
+	f.Add(`{"name":"rbz","timeCol":"t","dimCols":["a"],"measureCol":"m","rangeBins":[{"column":"price","edges":[]}]}`)
+	f.Add(`{"name":"rbd","timeCol":"t","dimCols":["a"],"measureCol":"m","rangeBins":[{"column":"price","edges":[3,3]}]}`)
+	f.Add(`{"name":"rbn","timeCol":"t","dimCols":["a"],"measureCol":"m","rangeBins":[{"column":"price","bins":2,"edges":[1,2]}]}`)
 
 	f.Fuzz(func(t *testing.T, data string) {
 		m, err := ParseManifest([]byte(data))
@@ -99,6 +106,18 @@ func FuzzParseManifest(f *testing.F) {
 			if rb.Column == m.TimeCol || dimSet[rb.Column] {
 				t.Fatalf("accepted range bin over non-numeric column %q", rb.Column)
 			}
+			if rb.Edges == nil {
+				continue
+			}
+			edges := *rb.Edges
+			if len(edges) > rb.EffectiveBins()-1 {
+				t.Fatalf("accepted %d edges for %d bins over %q", len(edges), rb.EffectiveBins(), rb.Column)
+			}
+			for j, e := range edges {
+				if math.IsNaN(e) || math.IsInf(e, 0) || (j > 0 && !(e > edges[j-1])) {
+					t.Fatalf("accepted edges %v over %q: not finite and strictly increasing", edges, rb.Column)
+				}
+			}
 		}
 		// Round trip: store and reload must accept the same document.
 		enc, err := json.Marshal(m)
@@ -111,6 +130,14 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		if m2.Name != m.Name || m2.TimeCol != m.TimeCol || m2.MeasureCol != m.MeasureCol {
 			t.Fatalf("round-trip mutated the manifest: %+v vs %+v", m, m2)
+		}
+		// Recorded edges survive the round trip exactly, and so does their
+		// absence: an empty list must not come back as "fit again".
+		for i, rb := range m.RangeBins {
+			got := m2.RangeBins[i].Edges
+			if (got == nil) != (rb.Edges == nil) || (got != nil && !reflect.DeepEqual(*got, *rb.Edges)) {
+				t.Fatalf("round-trip changed range bin %q edges from %v to %v", rb.Column, rb.Edges, got)
+			}
 		}
 	})
 }

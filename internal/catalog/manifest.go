@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 
 	"repro/internal/relation"
@@ -54,7 +55,9 @@ type Manifest struct {
 	Hierarchies []HierarchySpec `json:"hierarchies,omitempty"`
 	// RangeBins derives categorical bin columns from numeric CSV columns
 	// by equi-depth binning; the resulting columns are valid explainBy
-	// attributes and their bin edges are frozen with the dataset.
+	// attributes. Create fits their edges over the uploaded rows and
+	// records them in the stored manifest, so every later load bins
+	// appended rows against the same edges.
 	RangeBins []RangeBinSpec `json:"rangeBins,omitempty"`
 }
 
@@ -97,6 +100,12 @@ type RangeBinSpec struct {
 	Bins int `json:"bins,omitempty"`
 	// As names the derived column (default Column + "_bin").
 	As string `json:"as,omitempty"`
+	// Edges are the bin edges Create fitted over the uploaded rows,
+	// recorded in the stored manifest; an upload may not set them. They
+	// are finite, strictly increasing and at most Bins−1 long, and an
+	// empty list when the fit found nothing to cut. A manifest without
+	// them fits the edges again over all rows on every load.
+	Edges *[]float64 `json:"edges,omitempty"`
 }
 
 // EffectiveBins returns the bin count after defaults.
@@ -308,6 +317,18 @@ func (m *Manifest) validateDerived(cols, dimSet map[string]bool) (map[string]boo
 		if taken(as) || as == rb.Column {
 			return nil, fmt.Errorf("catalog: rangeBins derived column %q collides with an existing column", as)
 		}
+		var edges []float64
+		if rb.Edges != nil {
+			edges = *rb.Edges
+		}
+		if len(edges) > rb.EffectiveBins()-1 {
+			return nil, fmt.Errorf("catalog: rangeBins column %q has %d edges for %d bins", rb.Column, len(edges), rb.EffectiveBins())
+		}
+		for j, e := range edges {
+			if math.IsNaN(e) || math.IsInf(e, 0) || (j > 0 && !(e > edges[j-1])) {
+				return nil, fmt.Errorf("catalog: rangeBins column %q edges must be finite and strictly increasing", rb.Column)
+			}
+		}
 		derived[as] = true
 	}
 	return derived, nil
@@ -339,11 +360,28 @@ func (m *Manifest) Spec() relation.CSVSpec {
 	}
 }
 
+// ReadRelation parses CSV data laid out as the manifest describes and
+// applies its derived columns: what LoadRelation does with a dataset's
+// data.csv, and what an offline run over a catalog's manifest.json and
+// data.csv does.
+func (m *Manifest) ReadRelation(src io.Reader) (*relation.Relation, error) {
+	rel, err := relation.ReadCSV(src, m.Spec())
+	if err != nil {
+		return nil, err
+	}
+	if err := m.ApplyDerived(rel); err != nil {
+		return nil, err
+	}
+	return rel, nil
+}
+
 // ApplyDerived materializes the manifest's derived structure on a freshly
 // loaded relation: hierarchies are declared (path variants derive their
-// level columns first) and range-bin columns are computed with freshly
-// fitted edges. Derived state rides the relation from here on — snapshots
-// persist it, and appended base-schema rows re-derive against it.
+// level columns first) and range-bin columns bin against the manifest's
+// recorded edges, or against edges fitted over r when it records none.
+// Derived state rides the relation from here on — snapshots persist it,
+// and appended base-schema rows re-derive against it. The manifest is not
+// modified.
 func (m *Manifest) ApplyDerived(r *relation.Relation) error {
 	for i := range m.Hierarchies {
 		h := &m.Hierarchies[i]
@@ -359,7 +397,13 @@ func (m *Manifest) ApplyDerived(r *relation.Relation) error {
 	}
 	for i := range m.RangeBins {
 		rb := &m.RangeBins[i]
-		if err := r.AddRangeBin(rb.EffectiveAs(), rb.Column, rb.EffectiveBins()); err != nil {
+		var err error
+		if rb.Edges != nil {
+			err = r.AddRangeBinEdges(rb.EffectiveAs(), rb.Column, *rb.Edges)
+		} else {
+			err = r.AddRangeBin(rb.EffectiveAs(), rb.Column, rb.EffectiveBins())
+		}
+		if err != nil {
 			return fmt.Errorf("catalog: dataset %q: %w", m.Name, err)
 		}
 	}

@@ -56,7 +56,7 @@ func pinGuessVerifyAllocs(t *testing.T, d *datasets.Dataset, width int, segments
 	if width != 0 && len(tab.IDs()) != width {
 		t.Fatalf("%s: score table has %d columns, want %d", d.Name, len(tab.IDs()), width)
 	}
-	s := cascading.NewSolver(eng.Universe(), eng.opts.Metric, eng.opts.M)
+	s := cascading.NewSolver(eng.Universe(), eng.opts.M)
 	segs := segments(eng.Universe().NumTimestamps())
 	for _, seg := range segs { // warm the scratch
 		s.GuessVerify(seg[0], seg[1], 30, tab)

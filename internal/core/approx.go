@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -22,9 +21,7 @@ import (
 // runs out — in which case the engine returns the best result so far
 // instead of failing.
 type ApproxOptions struct {
-	// Enabled turns the approximate candidate path on. It requires the
-	// absolute-change metric (the paper's default): the contribution bound
-	// is only sound for it.
+	// Enabled turns the approximate candidate path on.
 	Enabled bool
 	// MaxCandidates caps the selectable candidate set M (default 4096).
 	MaxCandidates int
@@ -182,16 +179,6 @@ func (e *Engine) approxEnsure() *approxState {
 	return a
 }
 
-// approxSupported reports whether the approximate path can run under the
-// configured metric: the contribution bound is only sound for the
-// absolute-change metric (the paper's default).
-func (e *Engine) approxSupported() error {
-	if e.opts.Metric != explain.AbsoluteChange {
-		return fmt.Errorf("core: approximate mode supports the absolute-change metric only, got %v", e.opts.Metric)
-	}
-	return nil
-}
-
 // installApprox makes the explainer solve against the current top-m
 // selection. A changed selection drops every cached per-segment result
 // and the persistent variance calculator — they were computed under a
@@ -293,7 +280,7 @@ func (e *Engine) buildOther(a, b int, picked []cascading.Picked) *Explanation {
 		vals[i] = f.Eval(sc.Sum, sc.Count)
 	}
 	tot := e.u.TotalSeries()
-	gamma, effect := e.opts.Metric.Score(f, tot[a], tot[b], rs[0], rs[len(rs)-1])
+	gamma, effect := explain.Score(f, tot[a], tot[b], rs[0], rs[len(rs)-1])
 	return &Explanation{
 		Predicates: "(other)",
 		Gamma:      gamma,

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/explain"
 	"repro/internal/relation"
 	"repro/internal/synth"
 )
@@ -243,23 +242,6 @@ func TestApproxDeadlineDegradesNotFails(t *testing.T) {
 	}
 	if _, err := eng2.ExplainWithKCtx(expired, 4); err == nil {
 		t.Fatal("pre-expired context: want an error, got none")
-	}
-}
-
-// TestApproxRequiresAbsoluteChange: the contribution bound is only sound
-// for the absolute-change metric; other metrics must refuse rather than
-// report unsound bounds.
-func TestApproxRequiresAbsoluteChange(t *testing.T) {
-	rel := highCardRel(t)
-	opts := highCardOpts()
-	opts.Metric = explain.RelativeChange
-	opts.Approx = ApproxOptions{Enabled: true}
-	eng, err := NewEngine(rel, highCardQuery(), opts)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	if _, err := eng.Explain(); err == nil {
-		t.Fatal("want an error for approx + relative-change, got none")
 	}
 }
 

@@ -37,8 +37,6 @@ type Options struct {
 	M int
 	// MaxOrder is the explanation order threshold β̄ (default 3).
 	MaxOrder int
-	// Metric is the difference metric γ (default absolute-change).
-	Metric explain.Metric
 	// K fixes the segment count; 0 selects K automatically with the
 	// elbow method, up to 20 segments.
 	K int
@@ -353,7 +351,6 @@ func finishEngine(u *explain.Universe, rel *relation.Relation, q Query, opts Opt
 	e.refreshFilter(0)
 	e.exp = segment.NewExplainer(u, segment.ExplainerConfig{
 		M:              opts.M,
-		Metric:         opts.Metric,
 		Allowed:        e.allowed,
 		UseGuessVerify: opts.UseGuessVerify,
 		GuessInit:      opts.GuessInit,

@@ -52,9 +52,6 @@ func (e *Engine) ExplainProgressive(ctx context.Context, k int, yield RoundSink)
 // error aborts the stream. A deadline that expires mid-refinement
 // truncates to the best completed round instead of failing.
 func (e *Engine) runApproxRounds(ctx context.Context, positions []int, fixedK int, toExact bool, yield RoundSink) (*Result, error) {
-	if err := e.approxSupported(); err != nil {
-		return nil, err
-	}
 	a := e.approxEnsure()
 	if toExact {
 		// A previous run may have left the selection converged; the

@@ -61,7 +61,7 @@ func RecommendExplainByCtx(ctx context.Context, rel *relation.Relation, q Query)
 		for t := 0; t+1 < n; t++ {
 			var best, total float64
 			for id := 0; id < u.NumCandidates(); id++ {
-				g, _ := u.Gamma(id, t, t+1, explain.AbsoluteChange)
+				g, _ := u.Gamma(id, t, t+1)
 				total += g
 				if g > best {
 					best = g

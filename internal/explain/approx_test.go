@@ -33,7 +33,7 @@ func TestContributionBoundDominatesGamma(t *testing.T) {
 		for id := 0; id < u.NumCandidates(); id++ {
 			for c := 0; c < n; c++ {
 				for tt := c + 1; tt < n; tt += 7 {
-					g, _ := u.Gamma(id, c, tt, AbsoluteChange)
+					g, _ := u.Gamma(id, c, tt)
 					if g > bounds[id]+1e-9 {
 						t.Fatalf("agg %v candidate %d segment [%d,%d]: γ=%g exceeds bound %g",
 							agg, id, c, tt, g, bounds[id])

@@ -162,12 +162,12 @@ func TestGammaAbsoluteChangeSum(t *testing.T) {
 	ca := lookup(t, u, r, map[string]string{"state": "CA"})
 
 	// Over [d1,d2]: overall +115; removing NY leaves +15, so γ(NY)=100.
-	g, eff := u.Gamma(ny, 0, 1, AbsoluteChange)
+	g, eff := u.Gamma(ny, 0, 1)
 	if g != 100 || eff != Increase {
 		t.Errorf("γ(NY,[d1,d2]) = (%g,%v), want (100,+)", g, eff)
 	}
 	// Over [d3,d4]: CA contributes +150.
-	g, eff = u.Gamma(ca, 2, 3, AbsoluteChange)
+	g, eff = u.Gamma(ca, 2, 3)
 	if g != 150 || eff != Increase {
 		t.Errorf("γ(CA,[d3,d4]) = (%g,%v), want (150,+)", g, eff)
 	}
@@ -175,7 +175,7 @@ func TestGammaAbsoluteChangeSum(t *testing.T) {
 	vals := u.CandidateValues(ny)
 	for c := 0; c < len(vals); c++ {
 		for tt := c + 1; tt < len(vals); tt++ {
-			g, _ := u.Gamma(ny, c, tt, AbsoluteChange)
+			g, _ := u.Gamma(ny, c, tt)
 			want := math.Abs(vals[tt] - vals[c])
 			if math.Abs(g-want) > 1e-9 {
 				t.Fatalf("γ(NY,[%d,%d]) = %g, want %g", c, tt, g, want)
@@ -196,7 +196,7 @@ func TestGammaDecreaseEffect(t *testing.T) {
 	}
 	u := newUniverse(t, r, Config{Measure: "m", Agg: relation.Sum})
 	a := lookup(t, u, r, map[string]string{"s": "a"})
-	g, eff := u.Gamma(a, 0, 1, AbsoluteChange)
+	g, eff := u.Gamma(a, 0, 1)
 	if g != 8 || eff != Decrease {
 		t.Errorf("γ(a) = (%g,%v), want (8,-)", g, eff)
 	}
@@ -217,46 +217,9 @@ func TestGammaAvgAggregate(t *testing.T) {
 	a := lookup(t, u, r, map[string]string{"s": "a"})
 	// AVG goes 15 -> 30 (+15). Removing slice a leaves AVG 20 -> 20 (0),
 	// so γ(a) = 15 and the effect is an increase.
-	g, eff := u.Gamma(a, 0, 1, AbsoluteChange)
+	g, eff := u.Gamma(a, 0, 1)
 	if math.Abs(g-15) > 1e-9 || eff != Increase {
 		t.Errorf("γ(a) under AVG = (%g,%v), want (15,+)", g, eff)
-	}
-}
-
-func TestRelativeChangeMetric(t *testing.T) {
-	r := buildCovidMini(t)
-	u := newUniverse(t, r, Config{Measure: "cases", Agg: relation.Sum, ExplainBy: []string{"state"}})
-	ny := lookup(t, u, r, map[string]string{"state": "NY"})
-	// Over [d1,d2] the overall change is +115, NY's share 100/115.
-	g, eff := u.Gamma(ny, 0, 1, RelativeChange)
-	if math.Abs(g-100.0/115.0) > 1e-9 || eff != Increase {
-		t.Errorf("relative γ(NY) = (%g,%v), want (%g,+)", g, eff, 100.0/115.0)
-	}
-}
-
-func TestRiskRatioMetric(t *testing.T) {
-	r := buildCovidMini(t)
-	u := newUniverse(t, r, Config{Measure: "cases", Agg: relation.Sum, ExplainBy: []string{"state"}})
-	ca := lookup(t, u, r, map[string]string{"state": "CA"})
-	// CA's share grows from d2 (5/115) to d4 (200/340): ratio > 1.
-	g, _ := u.Gamma(ca, 1, 3, RiskRatio)
-	if g <= 1 {
-		t.Errorf("risk ratio γ(CA) = %g, want > 1", g)
-	}
-	// Risk ratio is symmetric around 1 (always folded to ≥ 1).
-	g2, _ := u.Gamma(ca, 3, 1, RiskRatio)
-	if g2 < 1 {
-		t.Errorf("folded risk ratio = %g, want ≥ 1", g2)
-	}
-}
-
-func TestMetricString(t *testing.T) {
-	for m, want := range map[Metric]string{
-		AbsoluteChange: "absolute-change", RelativeChange: "relative-change", RiskRatio: "risk-ratio", 7: "Metric(7)",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("Metric(%d).String() = %q, want %q", int(m), got, want)
-		}
 	}
 }
 
@@ -304,7 +267,7 @@ func TestGammaDecompositionProperty(t *testing.T) {
 		for tt := c + 1; tt < len(tot); tt++ {
 			var signed float64
 			for id := 0; id < u.NumCandidates(); id++ {
-				g, eff := u.Gamma(id, c, tt, AbsoluteChange)
+				g, eff := u.Gamma(id, c, tt)
 				signed += g * float64(eff)
 			}
 			want := tot[tt] - tot[c]

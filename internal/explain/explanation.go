@@ -1,14 +1,13 @@
-// Package explain implements candidate explanations and difference
-// metrics for TSExplain.
+// Package explain implements candidate explanations and their difference
+// score for TSExplain.
 //
 // An explanation E (Definition 3.1) is a conjunction of equality
 // predicates over the user-selected explain-by attributes. This package
 // enumerates every candidate explanation that occurs in the relation up to
 // an order threshold β̄, precomputes each candidate's decomposed aggregate
 // time series (the "data cube" access of Section 5.2 module a), and scores
-// candidates over arbitrary segments with the difference-metric library:
-// absolute-change (Definition 3.2, the paper's default), relative-change,
-// and risk-ratio.
+// candidates over arbitrary segments with Definition 3.2's absolute
+// change.
 package explain
 
 import (

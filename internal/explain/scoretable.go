@@ -330,30 +330,19 @@ func sameBits(a, b []float64, n int) bool {
 
 // ScoreRow writes the difference score γ over the segment [c, t] of every
 // listed candidate into row by table column: row[k] scores IDs()[k]. The
-// overall-series terms and the aggregate/metric dispatch are resolved once
-// per segment, and each column then runs exactly the floating-point
-// operations of Metric.Score in the same order, so every γ is bit-identical
-// to Universe.Gamma. The change effect τ is left to Effect: only the few
+// overall-series terms and the aggregate dispatch are resolved once per
+// segment, and each column then runs exactly the floating-point
+// operations of Score in the same order, so every γ is bit-identical to
+// Universe.Gamma. The change effect τ is left to Effect: only the few
 // picked candidates need it. row must hold len(IDs()) entries.
 //
 //tsexplain:hotpath
-func (tb *ScoreTable) ScoreRow(c, t int, m Metric, row []float64) {
+func (tb *ScoreTable) ScoreRow(c, t int, row []float64) {
 	f := tb.u.agg
 	totC, totT := tb.u.total[c], tb.u.total[t]
-	evC, evT := f.Eval(totC.Sum, totC.Count), f.Eval(totT.Sum, totT.Count)
+	base := f.Eval(totT.Sum, totT.Count) - f.Eval(totC.Sum, totC.Count)
 	w := len(tb.ids)
 	row = row[:w]
-	if m == RiskRatio {
-		// γ reads the slice's shares only; δ is not needed.
-		overallC, overallT := math.Abs(evC), math.Abs(evT)
-		for k := range row {
-			shareT := share(overallT, tb.eval(f, t*w+k))
-			shareC := share(overallC, tb.eval(f, c*w+k))
-			row[k] = riskRatio(shareT, shareC)
-		}
-		return
-	}
-	base := evT - evC
 	switch f {
 	case relation.Sum:
 		sC, sT := tb.sum[c*w:(c+1)*w], tb.sum[t*w:(t+1)*w]
@@ -376,23 +365,11 @@ func (tb *ScoreTable) ScoreRow(c, t int, m Metric, row []float64) {
 	default:
 		panic("explain: invalid AggFunc")
 	}
-	switch m {
-	case AbsoluteChange:
-	case RelativeChange:
-		// |δ| / |base| is the same single division Metric.Score performs.
-		if denom := math.Abs(base); denom != 0 {
-			for k := range row {
-				row[k] /= denom
-			}
-		}
-	default:
-		panic("explain: invalid Metric")
-	}
 }
 
 // Effect returns the change effect τ over the segment [c, t] of the
 // candidate in table column k, from the same δ ScoreRow scores it by, so
-// it equals Metric.Score's τ.
+// it equals Score's τ.
 //
 //tsexplain:hotpath
 func (tb *ScoreTable) Effect(c, t, k int) Effect {
@@ -413,17 +390,4 @@ func (tb *ScoreTable) Effect(c, t, k int) Effect {
 		panic("explain: invalid AggFunc")
 	}
 	return effectOf(base - removed)
-}
-
-// eval evaluates the aggregate of the table entry at flat index i. The
-// component the aggregate ignores is not stored and reads as zero.
-func (tb *ScoreTable) eval(f relation.AggFunc, i int) float64 {
-	var s, n float64
-	if tb.sum != nil {
-		s = tb.sum[i]
-	}
-	if tb.count != nil {
-		n = tb.count[i]
-	}
-	return f.Eval(s, n)
 }

@@ -126,6 +126,21 @@ func (r *Relation) NumBaseDims() int { return len(r.dims) - len(r.derived) }
 // relation, and freezes its edges. Appended rows bin against the frozen
 // edges, so out-of-range future values fall into the outer bins.
 func (r *Relation) AddRangeBin(as, measure string, bins int) error {
+	if bins < 2 || bins > 4096 {
+		return fmt.Errorf("relation: range bin count %d out of range (2..4096)", bins)
+	}
+	mi := r.MeasureIndex(measure)
+	if mi < 0 {
+		return fmt.Errorf("relation: unknown range bin source measure %q", measure)
+	}
+	return r.AddRangeBinEdges(as, measure, EquiDepthEdges(r.measures[mi].vals, bins))
+}
+
+// AddRangeBinEdges is AddRangeBin with the edges given rather than fitted:
+// the column bins the named measure against a copy of edges, which must
+// be finite and strictly increasing — edges an earlier AddRangeBin
+// fitted, as RangeBinEdges reports them, reproduce its labels exactly.
+func (r *Relation) AddRangeBinEdges(as, measure string, edges []float64) error {
 	if as == "" {
 		return fmt.Errorf("relation: range bin needs a column name")
 	}
@@ -136,11 +151,13 @@ func (r *Relation) AddRangeBin(as, measure string, bins int) error {
 	if mi < 0 {
 		return fmt.Errorf("relation: unknown range bin source measure %q", measure)
 	}
-	if bins < 2 || bins > 4096 {
-		return fmt.Errorf("relation: range bin count %d out of range (2..4096)", bins)
+	for i, e := range edges {
+		if math.IsNaN(e) || math.IsInf(e, 0) || (i > 0 && !(e > edges[i-1])) {
+			return fmt.Errorf("relation: range bin %q edges must be finite and strictly increasing", as)
+		}
 	}
+	edges = append(make([]float64, 0, len(edges)), edges...)
 	vals := r.measures[mi].vals
-	edges := EquiDepthEdges(vals, bins)
 	col := newDimColumn(as, r.numRows)
 	for _, v := range vals {
 		col.ids = append(col.ids, col.intern(BinLabel(edges, AssignBin(edges, v))))
@@ -150,6 +167,19 @@ func (r *Relation) AddRangeBin(as, measure string, bins int) error {
 	r.derived = append(r.derived, derivedCol{
 		dim: len(r.dims) - 1, kind: derivedRangeBin, source: mi, edges: edges,
 	})
+	return nil
+}
+
+// RangeBinEdges returns a copy of the frozen edges of the range-bin
+// column named as — empty, not nil, when the fit found nothing to cut —
+// or nil when as is no range-bin column.
+func (r *Relation) RangeBinEdges(as string) []float64 {
+	d := r.DimIndex(as)
+	for _, dc := range r.derived {
+		if dc.dim == d && dc.kind == derivedRangeBin {
+			return append(make([]float64, 0, len(dc.edges)), dc.edges...)
+		}
+	}
 	return nil
 }
 

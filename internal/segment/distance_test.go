@@ -22,7 +22,7 @@ func dist(e *Explainer, kind VarianceKind, ac, at, bc, bt int, rectify bool) flo
 		}
 		var got float64
 		for r, p := range source.Explanations {
-			g, eff := e.u.Gamma(p.ID, c, t, e.solver.Metric())
+			g, eff := e.u.Gamma(p.ID, c, t)
 			if rectify && eff != p.Effect {
 				g = 0
 			}

@@ -48,8 +48,6 @@ type Explainer struct {
 type ExplainerConfig struct {
 	// M is the number of explanations per segment (default 3).
 	M int
-	// Metric is the difference metric γ (default absolute-change).
-	Metric explain.Metric
 	// Allowed restricts selectable candidates; nil allows all.
 	Allowed []bool
 	// UseGuessVerify enables the guess-and-verify optimization.
@@ -71,7 +69,7 @@ func NewExplainer(u *explain.Universe, cfg ExplainerConfig) *Explainer {
 	}
 	return &Explainer{
 		u:         u,
-		solver:    cascading.NewSolver(u, cfg.Metric, m),
+		solver:    cascading.NewSolver(u, m),
 		m:         m,
 		allowed:   cfg.Allowed,
 		ids:       selectableIDs(u, cfg.Allowed),

@@ -28,8 +28,7 @@ import (
 // (n(n−1)/2 entries of 9 bytes); ids past the cap are scored directly.
 // The centroid memo costs 13 bytes per candidate.
 type gammaMemo struct {
-	u      *explain.Universe
-	metric explain.Metric
+	u *explain.Universe
 
 	cenCur   uint32
 	cenGen   []uint32
@@ -47,10 +46,10 @@ type gammaMemo struct {
 // noEffect marks an object-memo entry that holds no value yet.
 const noEffect explain.Effect = math.MinInt8
 
-// reset empties the memo and retargets it at universe u, scoring under
-// metric, for objs objects over a series of n points. Buffers are kept.
-func (m *gammaMemo) reset(u *explain.Universe, metric explain.Metric, objs, n int) {
-	m.u, m.metric, m.objs = u, metric, objs
+// reset empties the memo and retargets it at universe u, for objs objects
+// over a series of n points. Buffers are kept.
+func (m *gammaMemo) reset(u *explain.Universe, objs, n int) {
+	m.u, m.objs = u, objs
 	nc := u.NumCandidates()
 	if len(m.cenGen) != nc {
 		m.cenGen = make([]uint32, nc)
@@ -127,7 +126,7 @@ func (m *gammaMemo) dcg(target *side, expl []cascading.Picked, rectify bool) flo
 // where dcg looks for it, giving the id an object row if it has none and
 // the cap admits one.
 func (m *gammaMemo) gammaMiss(target *side, id int) (float64, explain.Effect) {
-	g, eff := m.u.Gamma(id, target.c, target.t, m.metric)
+	g, eff := m.u.Gamma(id, target.c, target.t)
 	if target.obj < 0 {
 		m.cenGen[id], m.cenGamma[id], m.cenEff[id] = m.cenCur, g, eff
 		return g, eff

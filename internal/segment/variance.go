@@ -178,7 +178,7 @@ func (vc *VarCalc) growObjects() {
 func (vc *VarCalc) prepareMemo() {
 	u, objs := vc.e.u, vc.objectCount()
 	if !vc.memo.valid(u, objs) {
-		vc.memo.reset(u, vc.e.solver.Metric(), objs, u.NumTimestamps())
+		vc.memo.reset(u, objs, u.NumTimestamps())
 	}
 }
 

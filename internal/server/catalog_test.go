@@ -537,6 +537,123 @@ func TestCatalogUnusableSnapshotIsRewritten(t *testing.T) {
 	}
 }
 
+// binnedManifest bins the measure itself into four equi-depth range bins.
+const binnedManifest = `{
+  "name": "binned",
+  "timeCol": "day",
+  "dimCols": ["state"],
+  "measureCol": "cases",
+  "rangeBins": [{"column": "cases", "bins": 4}]
+}`
+
+// binnedCSV holds 4 states over days 1–10 with cases 11–50, which the
+// upload cuts at 21, 31 and 41.
+func binnedCSV() string {
+	var b strings.Builder
+	b.WriteString("day,state,cases\n")
+	for d := 1; d <= 10; d++ {
+		for s, st := range []string{"CA", "NY", "TX", "WA"} {
+			fmt.Fprintf(&b, "2021-04-%02d,%s,%d\n", d, st, 11+10*s+d-1)
+		}
+	}
+	return b.String()
+}
+
+// binnedDelta appends days 11–20 with cases 1011–4020, all above the
+// fitted range: fitting the edges again over every row would cut at 31,
+// 1011 and 3011 instead.
+func binnedDelta() string {
+	var b strings.Builder
+	for d := 11; d <= 20; d++ {
+		for s, st := range []string{"CA", "NY", "TX", "WA"} {
+			fmt.Fprintf(&b, `{"time":"2021-04-%02d","dims":{"state":%q},"measure":%d}`+"\n", d, st, 1000*(s+1)+d)
+		}
+	}
+	return b.String()
+}
+
+// binLabels returns the cases_bin children /api/slice offers at the root.
+func binLabels(t *testing.T, s *Server) []string {
+	t.Helper()
+	rec := get(t, s, "/api/slice?dataset=binned")
+	if rec.Code != 200 {
+		t.Fatalf("slice: %d: %s", rec.Code, rec.Body.String())
+	}
+	var out sliceResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, dd := range out.DrillDown {
+		if dd.Attribute == "cases_bin" {
+			return dd.Children
+		}
+	}
+	t.Fatalf("slice offers no cases_bin drill-down: %s", rec.Body.String())
+	return nil
+}
+
+// explainK2 returns the k=2 explain of the binned dataset, latency zeroed.
+func explainK2(t *testing.T, s *Server) explainResponse {
+	t.Helper()
+	rec := get(t, s, "/api/explain?dataset=binned&k=2")
+	if rec.Code != 200 {
+		t.Fatalf("explain: %d: %s", rec.Code, rec.Body.String())
+	}
+	var res explainResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	res.Latency = latencyBreakdown{}
+	return res
+}
+
+// TestCatalogRangeBinsSurviveAppendAndRestart: a range-binned dataset
+// keeps the bins its upload fitted through an append and a restart, with
+// snapshots off (the restart parses the CSV) and on (it restores the
+// snapshot the append's refresh wrote from the CSV).
+func TestCatalogRangeBinsSurviveAppendAndRestart(t *testing.T) {
+	want := []string{"[-inf,21)", "[21,31)", "[31,41)", "[41,+inf)"}
+	for _, snapshots := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshots=%v", snapshots), func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *Server {
+				s, err := Open(Config{Shards: 2, WorkersPerShard: 2, QueueDepth: 8, DataDir: dir, DisableSnapshots: !snapshots})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(s.Close)
+				return s
+			}
+			s1 := open()
+			if rec := upload(t, s1, binnedManifest, binnedCSV(), true); rec.Code != 201 {
+				t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
+			}
+			if got := binLabels(t, s1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("uploaded bins = %v, want %v", got, want)
+			}
+			if rec := appendNDJSON(t, s1, "binned", binnedDelta(), true); rec.Code != 200 {
+				t.Fatalf("append: %d: %s", rec.Code, rec.Body.String())
+			}
+			if got := binLabels(t, s1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("bins after the append = %v, want the uploaded %v", got, want)
+			}
+			live := explainK2(t, s1)
+			s1.Close()
+
+			s2 := open()
+			if got := binLabels(t, s2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("bins after the restart = %v, want the uploaded %v", got, want)
+			}
+			if got := explainK2(t, s2); !reflect.DeepEqual(got, live) {
+				t.Fatalf("k=2 explain after the restart differs:\n got %+v\nwant %+v", got, live)
+			}
+			if snapshots && s2.met.snapshotRelRestores.Load() < 1 {
+				t.Fatal("the restart did not restore the snapshot")
+			}
+		})
+	}
+}
+
 // TestCatalogConcurrentUploadWhileExplaining drives uploads, appends,
 // explains, slices, and deletes concurrently (run under -race in CI).
 func TestCatalogConcurrentUploadWhileExplaining(t *testing.T) {

@@ -169,9 +169,10 @@ func TestHostileAppendBodies(t *testing.T) {
 }
 
 // TestHostileManifestUploads uploads manifests that hide data after a
-// valid document: directly after it, and behind padding that reaches
-// past the manifest part's size limit. Both must answer 4xx and leave the
-// data directory unchanged.
+// valid document, directly after it or behind padding that reaches past
+// the manifest part's size limit, and one that sets the range-bin edges
+// only the catalog may record. Each must answer 4xx and leave the data
+// directory unchanged.
 func TestHostileManifestUploads(t *testing.T) {
 	dir := t.TempDir()
 	s := newCatalogServer(t, dir)
@@ -184,6 +185,7 @@ func TestHostileManifestUploads(t *testing.T) {
 	for _, m := range []struct{ name, manifest string }{
 		{"trailing data", manifest("trailing") + ` {"x":1}`},
 		{"padded past the limit", manifest("padded") + strings.Repeat(" ", manifestLimitBytes) + `{"x":1}`},
+		{"range-bin edges set", strings.TrimSuffix(manifest("edges"), "}") + `,"rangeBins":[{"column":"cases","bins":2,"edges":[50]}]}`},
 	} {
 		if rec := upload(t, s, m.manifest, catalogTestCSV(12), true); rec.Code < 400 || rec.Code >= 500 {
 			t.Errorf("%s: answered %d, want 4xx: %s", m.name, rec.Code, rec.Body.String())
@@ -191,5 +193,111 @@ func TestHostileManifestUploads(t *testing.T) {
 	}
 	if after := treeDigest(t, dir); !reflect.DeepEqual(after, before) {
 		t.Errorf("data directory changed under hostile manifests:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// parseRoundStream decodes a complete progressive stream in the framing
+// its Content-Type names and returns its rounds, failing the test on any
+// byte that does not belong to a whole event or line.
+func parseRoundStream(t *testing.T, ctx, contentType, body string) []streamedRound {
+	t.Helper()
+	var payloads []string
+	switch contentType {
+	case "text/event-stream":
+		if !strings.HasSuffix(body, "\n\n") {
+			t.Fatalf("%s: SSE body does not end with a blank line: %.200q", ctx, body)
+		}
+		for _, event := range strings.Split(strings.TrimSuffix(body, "\n\n"), "\n\n") {
+			lines := strings.Split(event, "\n")
+			if len(lines) != 2 || lines[0] != "event: round" || !strings.HasPrefix(lines[1], "data: ") {
+				t.Fatalf("%s: malformed SSE event %.200q", ctx, event)
+			}
+			payloads = append(payloads, strings.TrimPrefix(lines[1], "data: "))
+		}
+	case "application/x-ndjson":
+		if !strings.HasSuffix(body, "\n") {
+			t.Fatalf("%s: NDJSON body does not end with a newline: %.200q", ctx, body)
+		}
+		payloads = strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+	default:
+		t.Fatalf("%s: Content-Type %q, want text/event-stream or application/x-ndjson", ctx, contentType)
+	}
+	rounds := make([]streamedRound, len(payloads))
+	for i, p := range payloads {
+		if err := json.Unmarshal([]byte(p), &rounds[i]); err != nil || rounds[i].Round != i+1 {
+			t.Fatalf("%s: payload %d is not round %d (%v): %.200q", ctx, i+1, i+1, err, p)
+		}
+	}
+	return rounds
+}
+
+// TestHostileProgressiveHeaders sends progressive explains with hostile
+// Accept and Last-Event-ID headers to a catalog dataset and a built-in
+// one. No request may answer 5xx; a 200 must carry exactly one of the two
+// stream types and a body that parses completely in that framing and ends
+// in exactly one final round; a 4xx must carry a JSON error; and the data
+// directory must not change.
+func TestHostileProgressiveHeaders(t *testing.T) {
+	dir := t.TempDir()
+	s := newCatalogServer(t, dir)
+	if rec := upload(t, s, catalogTestManifest, catalogTestCSV(12), true); rec.Code != 201 {
+		t.Fatalf("upload: %d: %s", rec.Code, rec.Body.String())
+	}
+	before := treeDigest(t, dir)
+
+	const sse = "text/event-stream"
+	cases := []struct {
+		name   string
+		query  string
+		header map[string][]string
+	}{
+		{"64 KiB Accept", "k=2", map[string][]string{"Accept": {sse + ", " + strings.Repeat("x", 64<<10)}}},
+		{"64 KiB Accept without SSE", "k=2", map[string][]string{"Accept": {strings.Repeat("text/", 64<<10/5)}}},
+		{"Accept with CR", "k=2", map[string][]string{"Accept": {sse + "\r"}}},
+		{"Accept with LF", "k=2", map[string][]string{"Accept": {"text/\n" + sse}}},
+		{"Accept with NUL", "k=2", map[string][]string{"Accept": {sse + "\x00"}}},
+		{"Accept split by NUL", "k=2", map[string][]string{"Accept": {"text/event\x00-stream"}}},
+		{"SSE then NDJSON Accept", "k=2", map[string][]string{"Accept": {sse, "application/x-ndjson"}}},
+		{"NDJSON then SSE Accept", "k=2", map[string][]string{"Accept": {"application/x-ndjson", sse}}},
+		{"any Accept", "k=2", map[string][]string{"Accept": {"*/*"}}},
+		{"huge Last-Event-ID", "k=2", map[string][]string{"Accept": {sse}, "Last-Event-Id": {strings.Repeat("9", 4096)}}},
+		{"negative Last-Event-ID", "k=2", map[string][]string{"Accept": {sse}, "Last-Event-Id": {"-1"}}},
+		{"SSE Accept with a bad k", "k=-3", map[string][]string{"Accept": {sse}}},
+		{"SSE Accept with a non-numeric k", "k=two", map[string][]string{"Accept": {sse}}},
+	}
+	for _, dataset := range []string{"mydata", "vax-deaths"} {
+		for _, c := range cases {
+			ctx := dataset + "/" + c.name
+			req := httptest.NewRequest("GET", "/api/explain?dataset="+dataset+"&progressive=1&"+c.query, nil)
+			for k, vs := range c.header {
+				req.Header[k] = vs
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			body := rec.Body.String()
+			switch {
+			case rec.Code >= 500:
+				t.Errorf("%s: answered %d: %.200s", ctx, rec.Code, body)
+			case rec.Code == 200:
+				rounds := parseRoundStream(t, ctx, rec.Header().Get("Content-Type"), body)
+				for i, r := range rounds {
+					if r.Final != (i == len(rounds)-1) {
+						t.Errorf("%s: round %d of %d has final = %v; want exactly one final round, last", ctx, i+1, len(rounds), r.Final)
+					}
+				}
+			case rec.Code >= 400:
+				var e struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+					t.Errorf("%s: answered %d without a JSON error body: %.200s", ctx, rec.Code, body)
+				}
+			default:
+				t.Errorf("%s: answered %d, want 200 or 4xx: %.200s", ctx, rec.Code, body)
+			}
+		}
+	}
+	if after := treeDigest(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("data directory changed under hostile progressive headers:\nbefore %v\nafter  %v", before, after)
 	}
 }

@@ -5,7 +5,10 @@
 # the server with a temp -data-dir, upload a CSV dataset, explain it,
 # append delta rows, restart the server, and assert the second start
 # restores the dataset from its warm-restart snapshot (log marker); then
-# check a slice, a diff, progressive streams and an async job on it. CI
+# check a slice, a diff, progressive streams and an async job on it. A
+# second, range-binned dataset takes an append outside its fitted range
+# and must keep its bins through the restart and in an offline CLI run on
+# the catalog's own manifest.json and data.csv. CI
 # runs this on every PR so example drift — like the pre-PR-1 missing
 # go.mod — is caught automatically instead of by the next reader.
 #
@@ -14,7 +17,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+# A failed check exits with the server still up; stop it on the way out.
+server_pid=""
+trap 'if [ -n "$server_pid" ]; then kill "$server_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
 
 run_check() {
 	name="$1"
@@ -92,6 +97,7 @@ start_server() {
 stop_server() {
 	kill "$server_pid" 2>/dev/null || true
 	wait "$server_pid" 2>/dev/null || true
+	server_pid=""
 }
 
 echo "smoke: server cold start + upload"
@@ -135,6 +141,50 @@ grep -q '"rows":2' "$tmp/append.json" || {
 	exit 1
 }
 
+# A range-binned dataset: cases 11–50 over 4 states × 10 days, cut into
+# 4 equi-depth bins at upload. The appended days (cases 1011–4020) lie
+# above every edge, so the bins must stay the ones the upload fitted.
+echo "smoke: range bins through an append"
+awk 'BEGIN {
+	print "day,state,cases"
+	split("CA NY TX WA", st, " ")
+	for (d = 1; d <= 10; d++)
+		for (s = 1; s <= 4; s++)
+			printf "2024-02-%02d,%s,%d\n", d, st[s], 11 + 10 * (s - 1) + d - 1
+}' >"$tmp/bins.csv"
+cat >"$tmp/bins-manifest.json" <<'JSON'
+{
+  "name": "smoke-bins",
+  "timeCol": "day",
+  "dimCols": ["state"],
+  "measureCol": "cases",
+  "rangeBins": [{"column": "cases", "bins": 4}]
+}
+JSON
+curl -sf -X POST "$base/api/datasets?wait=1" \
+	-F "manifest=<$tmp/bins-manifest.json" \
+	-F "csv=@$tmp/bins.csv" >"$tmp/upload-bins.json"
+bin_labels() {
+	curl -sf "$base/api/slice?dataset=smoke-bins" |
+		sed -n 's/.*"attribute":"cases_bin","children":\(\[[^]]*\]\).*/\1/p'
+}
+labels="$(bin_labels)"
+if [ -z "$labels" ]; then
+	echo "smoke: slice of smoke-bins offers no cases_bin drill-down" >&2
+	exit 1
+fi
+awk 'BEGIN {
+	split("CA NY TX WA", st, " ")
+	for (d = 11; d <= 20; d++)
+		for (s = 1; s <= 4; s++)
+			printf "{\"time\":\"2024-02-%02d\",\"dims\":{\"state\":\"%s\"},\"measure\":%d}\n", d, st[s], 1000 * s + d
+}' | curl -sf -X POST "$base/api/datasets/smoke-bins/append?wait=1" --data-binary @- >"$tmp/append-bins.json"
+grep -q '"rows":40' "$tmp/append-bins.json" || {
+	echo "smoke: range-bin append response unexpected:" >&2
+	cat "$tmp/append-bins.json" >&2
+	exit 1
+}
+
 stop_server
 
 echo "smoke: server warm restart (snapshot restore)"
@@ -152,6 +202,22 @@ grep -q 'restored from snapshot' "$tmp/server2.log" || {
 }
 curl -s "$base/metrics" | grep -q 'tsexplain_snapshot_restores_total{kind="engine"} 1' || {
 	echo "smoke: /metrics missing the engine snapshot restore" >&2
+	exit 1
+}
+
+# The range-binned dataset kept the bins its upload fitted, and an offline
+# run on the catalog's own files bins as the server does.
+if [ "$(bin_labels)" != "$labels" ]; then
+	echo "smoke: range bins changed across the append and restart: $labels -> $(bin_labels)" >&2
+	exit 1
+fi
+"$tmp/tsexplain" -csv "$data_dir/smoke-bins/data.csv" \
+	-manifest "$data_dir/smoke-bins/manifest.json" -k 2 >"$tmp/cli-bins.out"
+printf '%s\n' "$labels" |
+	awk '{ gsub(/^\["|"\]$/, ""); n = split($0, l, "\",\""); for (i = 1; i <= n; i++) print "cases_bin=" l[i] }' >"$tmp/bin-preds"
+grep -qF -f "$tmp/bin-preds" "$tmp/cli-bins.out" || {
+	echo "smoke: offline CLI run names no bin of $labels:" >&2
+	cat "$tmp/cli-bins.out" >&2
 	exit 1
 }
 

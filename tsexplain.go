@@ -81,8 +81,6 @@ type (
 	AttributeScore = core.AttributeScore
 	// Effect is a change effect (+/-).
 	Effect = explain.Effect
-	// Metric is a difference metric γ.
-	Metric = explain.Metric
 	// VarianceKind selects the within-segment variance design.
 	VarianceKind = segment.VarianceKind
 	// SketchConfig tunes the sketching optimization.
@@ -97,16 +95,6 @@ const (
 	Count = relation.Count
 	// Avg aggregates with AVG(M).
 	Avg = relation.Avg
-)
-
-// Difference metrics.
-const (
-	// AbsoluteChange is the paper's default metric (Definition 3.2).
-	AbsoluteChange = explain.AbsoluteChange
-	// RelativeChange normalizes by the overall change.
-	RelativeChange = explain.RelativeChange
-	// RiskRatio compares slice shares between the endpoints.
-	RiskRatio = explain.RiskRatio
 )
 
 // Change effects.
